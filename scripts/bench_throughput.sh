@@ -14,29 +14,10 @@
 #      quietly turns the event kernel back into tick-everything,
 #   3. the express-route hit rate is at least MIN_XHIT (default: half
 #      the committed baseline's) — catches a conflict-check change that
-#      silently declines everything and falls back to hop-by-hop,
-#   4. when the host has >= 4 hardware threads: the 4-shard windowed run
-#      of the big machine is at least MIN_SHARD_SPEEDUP (default 2.0x,
-#      an absolute floor — hosted runners are too variable for a
-#      baseline-relative one) faster than the serial scan, and sharded
-#      results stayed bit-identical ("shard_identical": true). The 2.0x
-#      floor is the point of the multi-cycle lookahead kernel: lockstep
-#      sharding ran BELOW 1x (barrier overhead beat the parallelism), so
-#      missing the floor on a capable host means windows stopped
-#      engaging — check the window histogram in the --perf shard-exec
-#      block. On smaller hosts the speedup check is skipped with the
-#      reason logged (the workers would just time-slice one core) but
-#      identity is still enforced.
-#   5. every shard ownership map (block/stripe/quad/profile) stayed
-#      bit-identical to the serial scan ("map_identical": true), and —
-#      on hosts with real parallelism, i.e. unless the bench flagged
-#      "shard_numbers_advisory" — the profile map's per-shard busy-ns
-#      imbalance ratio is no worse than the block map's (the load
-#      balancer must not lose to the default it replaces).
+#      silently declines everything and falls back to hop-by-hop.
 #
 # Usage: scripts/bench_throughput.sh [build-dir] [scale]
-#        MIN_SPEEDUP=1.5 MIN_XHIT=0.3 MIN_SHARD_SPEEDUP=2.0 \
-#            scripts/bench_throughput.sh build 0.25
+#        MIN_SPEEDUP=1.5 MIN_XHIT=0.3 scripts/bench_throughput.sh build 0.25
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,10 +30,7 @@ if [[ ! -x "$BUILD_DIR/bench/sim_throughput" ]]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target sim_throughput
 fi
 
-# The smoke shrinks the shard section too: 64 simulated cores is still
-# plenty of tiles per worker, and keeps the smoke fast on one runner.
-"$BUILD_DIR/bench/sim_throughput" --scale "$SCALE" --out "$OUT" \
-    --shard-cores 64 --shard-scale "$SCALE"
+"$BUILD_DIR/bench/sim_throughput" --scale "$SCALE" --out "$OUT"
 
 json_field() {  # json_field FILE KEY -> scalar value
   sed -n "s/^ *\"$2\": \([^,]*\),*$/\1/p" "$1" | head -1
@@ -89,60 +67,4 @@ if ! awk -v x="$xhit" -v m="$min_xhit" 'BEGIN { exit !(x >= m) }'; then
   exit 1
 fi
 
-shard_identical="$(json_field "$OUT" shard_identical)"
-shard_speedup="$(json_field "$OUT" shard_speedup_4)"
-host_threads="$(json_field "$OUT" host_threads)"
-min_shard="${MIN_SHARD_SPEEDUP:-2.0}"
-if [[ "$shard_identical" != "true" ]]; then
-  echo "FAIL: sharded runs diverged from the serial scan" >&2
-  exit 1
-fi
-map_identical="$(json_field "$OUT" map_identical)"
-advisory="$(json_field "$OUT" shard_numbers_advisory)"
-imb_block="$(json_field "$OUT" imbalance_block)"
-imb_profile="$(json_field "$OUT" imbalance_profile)"
-if [[ "$map_identical" != "true" ]]; then
-  echo "FAIL: a shard ownership map diverged from the serial scan" >&2
-  exit 1
-fi
-if [[ "$host_threads" -ge 4 ]]; then
-  echo "shard-smoke: shard_speedup_4=${shard_speedup}x" \
-       "(floor ${min_shard}x, host threads ${host_threads})"
-  if ! awk -v s="$shard_speedup" -v m="$min_shard" \
-        'BEGIN { exit !(s >= m) }'; then
-    echo "FAIL: 4-shard windowed speedup ${shard_speedup}x below the" \
-         "${min_shard}x floor on a ${host_threads}-thread host." >&2
-    echo "      The lookahead windows are not paying for the barriers:" \
-         "run the bench with --perf and check the shard-exec window" \
-         "histogram — windows collapsing to 1 cycle mean a planner" \
-         "clamp (sequential slots, core actions, or mem-waiters) is" \
-         "pinning every epoch to lockstep." >&2
-    exit 1
-  fi
-  echo "map-smoke: imbalance block=${imb_block}x profile=${imb_profile}x" \
-       "(advisory=${advisory})"
-  if [[ "$advisory" == "true" ]]; then
-    echo "map-smoke: CAVEAT — the bench reported shard_numbers_advisory:" \
-         "the host's ${host_threads} hardware threads are fewer than 2x" \
-         "the shard workers, so busy-ns imbalance reflects time-slicing" \
-         "as much as the ownership map. The profile<=block gate is not" \
-         "applied; bit-identity under every map is still enforced."
-  elif ! awk -v p="$imb_profile" -v b="$imb_block" \
-        'BEGIN { exit !(p <= b) }'; then
-    echo "FAIL: profile map busy-ns imbalance ${imb_profile}x exceeds" \
-         "block's ${imb_block}x — the profile balancer is making the" \
-         "shard load split worse than the contiguous default. Check the" \
-         "hot-tile list and the per-shard busy/wait times in the --perf" \
-         "shard-exec block." >&2
-    exit 1
-  fi
-else
-  echo "shard-smoke: CAVEAT — host has only ${host_threads} hardware" \
-       "thread(s), so 4 shard workers time-slice one core and the" \
-       "speedup/imbalance numbers are advisory noise (the bench flags" \
-       "this as shard_numbers_advisory=${advisory}). The" \
-       "shard_speedup_4 >= ${min_shard}x and profile<=block imbalance" \
-       "gates are not applied; bit-identity of sharded results under" \
-       "every ownership map is still enforced."
-fi
 echo "perf-smoke passed."

@@ -23,21 +23,16 @@ namespace glocks::ckpt {
 
 /// Current archive format version. Bump on any incompatible layout
 /// change; readers reject anything newer than this.
-inline constexpr std::uint32_t kFormatVersion = 5;
+inline constexpr std::uint32_t kFormatVersion = 6;
 
-/// Oldest version this build still reads. v5 added the shard ownership
-/// map to the meta section (the run spec's shard-map policy byte plus
-/// the full active tile->shard assignment and its provenance flag),
-/// which is what lets a restore replay at the exact recorded ownership
-/// map before re-mapping to the requested one. v4 added shard_window to
-/// the run spec and switched the mesh section's packet sequence state
-/// from one global counter to one stream per source tile (per-tile
-/// injection counts, which are invariant across execution strategies —
-/// the property that lets an archive restored at one shard count or
-/// window length re-checkpoint verifiably at another). Older archives
-/// would parse into garbage, so they get a clean up-front rejection
-/// instead of a confusing mid-parse kTruncated/kBadSection failure.
-inline constexpr std::uint32_t kMinFormatVersion = 5;
+/// Oldest version this build still reads. v6 dropped the execution-
+/// strategy fields v4/v5 carried for running one machine on several host
+/// threads (a thread count, window length and tile-ownership policy in
+/// the run spec, and the meta section's tile map with its provenance
+/// flag). Older archives would parse into garbage, so they get a clean
+/// up-front rejection instead of a confusing mid-parse
+/// kTruncated/kBadSection failure.
+inline constexpr std::uint32_t kMinFormatVersion = 6;
 
 /// 8-byte file magic.
 inline constexpr char kMagic[8] = {'G', 'L', 'K', 'C', 'K', 'P', 'T', '\n'};

@@ -91,9 +91,6 @@ void save_run_spec(ArchiveWriter& a, const RunSpec& spec) {
   a.u64(c.max_cycles);
   a.u8(static_cast<std::uint8_t>(c.engine_mode));
   a.u64(c.drain_budget);
-  a.u32(c.num_shards);
-  a.u32(c.shard_window);
-  a.u8(static_cast<std::uint8_t>(c.shard_map));
 
   save_lock_kind(a, spec.policy.highly_contended);
   save_lock_kind(a, spec.policy.regular);
@@ -190,14 +187,6 @@ RunSpec load_run_spec(ArchiveReader& a) {
   }
   c.engine_mode = static_cast<EngineMode>(mode);
   c.drain_budget = a.u64();
-  c.num_shards = a.u32();
-  c.shard_window = a.u32();
-  const std::uint8_t map = a.u8();
-  if (map > static_cast<std::uint8_t>(ShardMapPolicy::kProfile)) {
-    throw CkptError(CkptError::Code::kBadSection,
-                    "checkpoint names an unknown shard-map policy");
-  }
-  c.shard_map = static_cast<ShardMapPolicy>(map);
 
   spec.policy.highly_contended = load_lock_kind(a);
   spec.policy.regular = load_lock_kind(a);
@@ -224,21 +213,11 @@ RunSpec load_run_spec(ArchiveReader& a) {
 
 namespace {
 
-// META = [pause cycle][run spec][active tile->shard map][warmup flag].
-// The map records the machine's live ownership assignment (empty on the
-// serial scan) so a restore can replay at exactly the recorded map; the
-// flag says whether a kProfile map came from the in-run warmup (replay
-// re-profiles deterministically) or was installed at cycle 0 from a
-// file/pin (replay pins the recorded map).
-void write_meta(ArchiveWriter& a, const RunSpec& spec, Cycle cycle,
-                harness::CmpSystem& sys) {
+// META = [pause cycle][run spec].
+void write_meta(ArchiveWriter& a, const RunSpec& spec, Cycle cycle) {
   a.begin_section(tags::kMeta);
   a.u64(cycle);
   save_run_spec(a, spec);
-  const auto& map = sys.tile_map();
-  a.u32(static_cast<std::uint32_t>(map.size()));
-  for (const std::uint32_t s : map) a.u32(s);
-  a.u8(sys.profile_map_from_warmup() ? 1 : 0);
   a.end_section();
 }
 
@@ -247,7 +226,7 @@ void write_meta(ArchiveWriter& a, const RunSpec& spec, Cycle cycle,
 std::vector<std::uint8_t> encode_checkpoint(const RunSpec& spec, Cycle cycle,
                                             harness::CmpSystem& sys) {
   ArchiveWriter a;
-  write_meta(a, spec, cycle, sys);
+  write_meta(a, spec, cycle);
   sys.save_state(a);
   return a.buffer();
 }
@@ -255,7 +234,7 @@ std::vector<std::uint8_t> encode_checkpoint(const RunSpec& spec, Cycle cycle,
 void write_checkpoint(const std::string& path, const RunSpec& spec,
                       Cycle cycle, harness::CmpSystem& sys) {
   ArchiveWriter a;
-  write_meta(a, spec, cycle, sys);
+  write_meta(a, spec, cycle);
   sys.save_state(a);
   a.write_file(path);
 }
@@ -270,14 +249,6 @@ CkptMeta read_meta(ArchiveReader& r) {
   CkptMeta meta;
   meta.cycle = r.u64();
   meta.spec = load_run_spec(r);
-  const std::uint32_t map_size = r.u32();
-  if (map_size > r.section_remaining() / 4) {
-    throw CkptError(CkptError::Code::kBadSection,
-                    "checkpoint meta section has an oversized tile map");
-  }
-  meta.tile_map.resize(map_size);
-  for (std::uint32_t t = 0; t < map_size; ++t) meta.tile_map[t] = r.u32();
-  meta.map_from_warmup = r.u8() != 0;
   if (r.section_remaining() != 0) {
     throw CkptError(CkptError::Code::kBadSection,
                     "checkpoint meta section has trailing bytes");
@@ -385,10 +356,7 @@ std::string divergence_message(const std::vector<std::uint8_t>& saved,
 
 }  // namespace
 
-harness::RunResult restore_and_run(const std::string& path,
-                                   std::optional<std::uint32_t> shards,
-                                   std::optional<std::uint32_t> window,
-                                   std::optional<ShardMapPolicy> map) {
+harness::RunResult restore_and_run(const std::string& path) {
   ArchiveReader r = ArchiveReader::from_file(path);
   const CkptMeta meta = read_meta(r);
 
@@ -412,19 +380,6 @@ harness::RunResult restore_and_run(const std::string& path,
   cfg.policy = meta.spec.policy;
   cfg.seed = meta.spec.seed;
   cfg.energy = meta.spec.energy;
-  if (meta.map_from_warmup) {
-    // The recorded map came from the kProfile in-run warmup, so it was
-    // NOT active from cycle 0 — pinning it would diverge. Re-running
-    // the warmup at the recorded strategy reproduces it exactly (the
-    // tile costs at the warmup boundary are deterministic); clear any
-    // map file so a stale sweep artifact can't preempt that warmup.
-    cfg.cmp.shard_map_file.clear();
-  } else if (!meta.tile_map.empty()) {
-    // Static or preloaded map: pin the replay to the exact recorded
-    // assignment (a map file on disk may have changed since the save).
-    cfg.cmp.shard_map_pin = meta.tile_map;
-    cfg.cmp.shard_map_file.clear();
-  }
 
   bool verified = false;
   harness::RunHooks hooks;
@@ -437,17 +392,6 @@ harness::RunResult restore_and_run(const std::string& path,
                       divergence_message(r.data(), replayed));
     }
     verified = true;
-    // The replay up to here ran at the checkpoint's recorded shard
-    // count and window length (cfg.cmp carries both), so the
-    // byte-compare above matched an archive written under the same
-    // execution strategy. Only now, with the machine verified and
-    // parked between cycles, switch to the caller's requested strategy
-    // — bit-identical from here on by the shard-equivalence contract.
-    if (window && *window != sys.shard_window()) {
-      sys.set_shard_window(*window);
-    }
-    if (shards && *shards != sys.shards()) sys.set_shards(*shards);
-    if (map && *map != sys.shard_map()) sys.set_shard_map(*map);
   };
   harness::RunResult result = harness::run_workload(*wl, cfg, hooks);
   if (!verified) {

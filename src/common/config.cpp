@@ -62,6 +62,11 @@ std::uint32_t CmpConfig::mesh_height() const {
   return (num_cores + w - 1) / w;
 }
 
+bool CmpConfig::exceeds_flat_gline_reach() const {
+  return mesh_width() > gline.max_transmitters_per_line + 1 &&
+         gline.signal_latency <= 1;
+}
+
 Cycle CmpConfig::effective_drain_budget() const {
   if (drain_budget != 0) return drain_budget;
   // Worst-case settle time of one in-flight transaction: a full-diameter

@@ -85,28 +85,6 @@ struct GlineConfig {
   std::uint32_t max_transmitters_per_line = 6;
 };
 
-/// Tile->shard ownership policy for sharded execution (--shard-map).
-/// Like num_shards/shard_window this is an execution strategy, not a
-/// model parameter: output bytes are identical under every policy.
-enum class ShardMapPolicy : std::uint8_t {
-  /// Contiguous bands of tiles per shard (the historical default;
-  /// reproduces the pre-map byte stream exactly at any shard count).
-  kBlock = 0,
-  /// Round-robin tiles across shards. Maximum boundary cut — adjacent
-  /// tiles always differ — so the lookahead horizon legitimately
-  /// collapses to one per-hop step; useful as the adversarial map in
-  /// determinism tests.
-  kStripe = 1,
-  /// Recursive coordinate bisection over the mesh grid: near-square
-  /// blocks that minimize the boundary cut, keeping the horizon long.
-  kQuad = 2,
-  /// Profile-guided: greedy LPT over per-tile activity costs (engine
-  /// ticks + router work) with a boundary-cut penalty. Costs come from
-  /// a map file (--shard-map-file) or a short in-run warmup on the
-  /// block map.
-  kProfile = 3,
-};
-
 /// A scripted permanent mesh-link kill for deterministic experiments:
 /// the directed link leaving `tile` through `dir` dies at cycle `at`,
 /// exactly as if the injector's stuck-at fate had fired there. `dir`
@@ -229,39 +207,6 @@ struct CmpConfig {
   /// determinism suite compares against. Results are bit-identical.
   EngineMode engine_mode = EngineMode::kEventDriven;
 
-  /// Host threads the machine's tiles are sharded across (1 = the
-  /// plain serial scan). Like engine_mode this is an execution
-  /// strategy, not a model parameter: results are bit-identical for
-  /// every value (tests/shard_equivalence_test.cpp). Clamped to
-  /// num_cores by CmpSystem.
-  std::uint32_t num_shards = 1;
-
-  /// Conservative-lookahead window length for sharded execution: 1
-  /// forces per-cycle lockstep epochs, 0 (the default) lets windows run
-  /// to the safety bounds (per-hop latency over a busy fabric, the
-  /// H_min lookahead horizon over an empty one), L > 1 additionally
-  /// caps them at L cycles. Another execution strategy: results are
-  /// bit-identical for every value and every shard count. Ignored with
-  /// one shard; forced to lockstep while the fault domain is armed.
-  std::uint32_t shard_window = 0;
-
-  /// Tile->shard ownership policy applied when num_shards > 1 (see
-  /// ShardMapPolicy). Execution strategy: bytes identical under every
-  /// policy; kBlock reproduces the historical contiguous split.
-  ShardMapPolicy shard_map = ShardMapPolicy::kBlock;
-
-  /// Ownership-map file for the kProfile policy (--shard-map-file).
-  /// When the file exists it is loaded (so a sweep reuses one profiling
-  /// pass); when it does not, the profiled map is saved there after the
-  /// warmup. Empty = profile in-run only, never persisted.
-  std::string shard_map_file;
-
-  /// Pinned tile->shard map, set by checkpoint restore so the replay
-  /// runs at the archived ownership map regardless of policy. Applied
-  /// only when its shard count matches num_shards; cleared by any
-  /// subsequent set_shard_map()/set_shards() call. Not serialized.
-  std::vector<std::uint32_t> shard_map_pin;
-
   /// Budget for the post-run drain phase (flushing in-flight coherence
   /// traffic and letting the G-line network settle). 0 means "derive
   /// from the machine geometry" — see effective_drain_budget().
@@ -281,6 +226,12 @@ struct CmpConfig {
   /// router-only pass-throughs that keep the mesh rectangular so XY
   /// routing is always well-defined.
   std::uint32_t mesh_tiles() const { return mesh_width() * mesh_height(); }
+
+  /// True when the flat G-line network cannot span this mesh: wider
+  /// than max_transmitters_per_line + 1 tiles at unit signal latency
+  /// (Section III-F). The flat design rejects such machines; the tools
+  /// switch them to the hierarchical network instead.
+  bool exceeds_flat_gline_reach() const;
 
   /// Throws SimError when the configuration is internally inconsistent
   /// (e.g. non-power-of-two sets, zero cores).

@@ -109,14 +109,14 @@ class Pool {
   void set_stats(const Stats& s) { stats_ = s; }
   void set_alloc_hook(AllocHook hook) { alloc_hook_ = std::move(hook); }
 
-  /// Sharded execution: components on different shard workers acquire
-  /// and release from the same pool, so guard the free list with a
-  /// spinlock while a shard plan is live. Off (the default) the hot
-  /// path stays lock-free; logical counters (acquires, outstanding)
-  /// remain deterministic either way, while the physical slab counters
-  /// (heap_allocs/heap_bytes/high_water) become interleaving-dependent
-  /// under contention — which is why checkpoints only serialize the
-  /// deterministic pair (see mem::Hierarchy::save).
+  /// Guards the free list with a spinlock, for a pool shared by several
+  /// host threads. Off (the default, and the only mode the simulator
+  /// uses today: one machine runs on one host thread) the hot path stays
+  /// lock-free. Logical counters (acquires, outstanding) are
+  /// deterministic either way; the physical slab counters
+  /// (heap_allocs/heap_bytes/high_water) would depend on thread
+  /// interleaving, which is one reason checkpoints only serialize the
+  /// logical pair (see mem::Hierarchy::save).
   void set_concurrent(bool on) { concurrent_ = on; }
 
  private:

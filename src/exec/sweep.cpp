@@ -128,10 +128,9 @@ void run_sweep(const SweepSpec& spec, std::ostream& os,
     const GridPoint& p = grid[i];
     harness::RunConfig cfg;
     cfg.cmp.num_cores = p.cores;
-    cfg.cmp.num_shards = spec.num_shards;
-    cfg.cmp.shard_window = spec.shard_window;
-    cfg.cmp.shard_map = spec.shard_map;
-    cfg.cmp.shard_map_file = spec.shard_map_file;
+    // Meshes past the flat G-line reach get the hierarchical network
+    // rather than being rejected (the same rule as glocksim).
+    cfg.cmp.gline.hierarchical = cfg.cmp.exceeds_flat_gline_reach();
     cfg.policy.highly_contended = p.kind;
     cfg.seed = p.seed;
     if (spec.fault.any()) {

@@ -38,8 +38,7 @@ GlineSystem::GlineSystem(
     // meshes require the longer-latency G-line variant (scaling path 1)
     // or the hierarchical network (path 2, gline.hierarchical).
     GLOCKS_CHECK(
-        width <= cfg.gline.max_transmitters_per_line + 1 ||
-            cfg.gline.signal_latency > 1,
+        !cfg.exceeds_flat_gline_reach(),
         "mesh width " << width << " exceeds the single-cycle G-line "
                       << "reach; raise gline.signal_latency or set "
                       << "gline.hierarchical");

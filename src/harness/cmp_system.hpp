@@ -38,51 +38,6 @@ class CmpSystem {
   core::Core& core(CoreId c) { return *cores_[c]; }
   std::uint32_t num_cores() const { return cfg_.num_cores; }
 
-  /// Shards this machine currently runs on (1 = plain serial scan).
-  std::uint32_t shards() const { return engine_.num_shards(); }
-  /// Re-shards the live machine between cycles: `n` is clamped to the
-  /// core count, n <= 1 returns to the serial scan. Simulation results
-  /// are bit-identical for every value — sharding is an execution
-  /// strategy, not a model parameter (the shard-equivalence suite holds
-  /// us to that). The restore path uses this to hand a checkpoint
-  /// replayed at its recorded shard count over to the requested one.
-  void set_shards(std::uint32_t n);
-  /// Current conservative-lookahead window length knob (see
-  /// CmpConfig::shard_window; live value, not the construction-time one).
-  std::uint32_t shard_window() const { return cfg_.shard_window; }
-  /// Re-windows the live machine between cycles. Like set_shards() this
-  /// is pure execution strategy — results are bit-identical for every
-  /// value. The restore path replays a checkpoint at its recorded window
-  /// length, then switches to the requested one here.
-  void set_shard_window(std::uint32_t w);
-  /// Shard owning core `c` under the historical block-contiguous split
-  /// (the kBlock policy formula; the live assignment is tile_map()).
-  std::uint32_t shard_of_core(CoreId c, std::uint32_t shards) const {
-    return static_cast<std::uint32_t>(
-        static_cast<std::uint64_t>(c) * shards / cfg_.num_cores);
-  }
-  /// Requested tile->shard ownership policy (CmpConfig::shard_map).
-  ShardMapPolicy shard_map() const { return cfg_.shard_map; }
-  /// Re-maps the live machine onto policy `p` between cycles. Like
-  /// set_shards()/set_shard_window() this is pure execution strategy —
-  /// results are bit-identical under every ownership map. Clears any
-  /// restore-time map pin.
-  void set_shard_map(ShardMapPolicy p);
-  /// The active tile->shard ownership map (empty on the serial scan).
-  const std::vector<std::uint32_t>& tile_map() const { return tile_map_; }
-  /// True when the active map was produced by the kProfile in-run
-  /// warmup, or when that warmup is still pending (as opposed to a
-  /// static policy, a preloaded map file, or a restore pin).
-  /// Checkpoints record this so a restore knows to re-run the warmup
-  /// instead of pinning a map that was not active from cycle 0.
-  bool profile_map_from_warmup() const {
-    return profile_warmup_ || profile_pending_;
-  }
-  /// Per-tile activity costs the profile balancer consumes: the tile's
-  /// engine slot ticks (dir/sb/qolb/l1/core) plus the mesh's busy-router
-  /// ticks. Host-side perf — reading it never perturbs the simulation.
-  std::vector<std::uint64_t> tile_costs() const;
-
   /// Attaches an event tracer to every bound thread. Call after the
   /// threads are bound and before run().
   void attach_tracer(trace::Tracer& tracer);
@@ -122,15 +77,6 @@ class CmpSystem {
   std::string hang_report() const;
 
  private:
-  void install_shard_plan(std::uint32_t shards);
-  /// The tile->shard map `shards` shards run on: the restore pin when
-  /// valid, else the configured policy (kProfile loads --shard-map-file
-  /// or arms the in-run warmup and starts on the block map).
-  std::vector<std::uint32_t> resolve_tile_map(std::uint32_t shards);
-  /// Profile warmup completion: build the LPT map from live tile costs,
-  /// persist it when --shard-map-file asked, re-install the plan.
-  void rebalance_from_profile();
-
   CmpConfig cfg_;
   sim::Engine engine_{cfg_.engine_mode};
   noc::Mesh mesh_;
@@ -139,25 +85,10 @@ class CmpSystem {
   std::unique_ptr<gline::GlineSystem> glines_;
   locks::ContentionCensus census_;
   mem::SimAllocator heap_;
-  /// Active tile->shard ownership map (empty when serial); what the
-  /// mesh regions, the slot plan, and hang_report() all key off.
-  std::vector<std::uint32_t> tile_map_;
-  /// Cached profile-guided map (valid for profiled_shards_ shards), so
-  /// re-installs (set_shard_window etc.) never re-warm.
-  std::vector<std::uint32_t> profiled_map_;
-  std::uint32_t profiled_shards_ = 0;
-  /// Provenance of profiled_map_: true when it came from the in-run
-  /// warmup, false when it was preloaded from a map file.
-  bool profiled_from_warmup_ = false;
-  /// Provenance of the ACTIVE map (see profile_map_from_warmup()).
-  bool profile_warmup_ = false;
-  /// kProfile with no usable map yet: run() pauses after a short warmup
-  /// to rebalance from the live activity counters.
-  bool profile_pending_ = false;
   /// Cores whose finish listener has fired; run() terminates on this
-  /// counter instead of scanning every core between cycles. Atomic:
-  /// under sharded execution the listener fires from shard workers; the
-  /// run loop reads it between cycles with every worker parked.
+  /// counter instead of scanning every core between cycles. Still
+  /// atomic although a machine runs on one host thread: dropping host
+  /// synchronisation is left to a separate, TSan-checked change.
   std::atomic<std::uint32_t> finished_count_{0};
 };
 

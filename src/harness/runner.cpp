@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "sim/shard.hpp"
 
 namespace glocks::harness {
 
@@ -67,27 +66,6 @@ RunResult run_workload(Workload& workload, const RunConfig& cfg,
     r.perf.msg.express_hits = xp.hits;
     r.perf.msg.express_declined = xp.declined;
     r.perf.msg.express_materialized = xp.materialized;
-    r.perf.shard.staged_packets = sys.mesh().staged_sends();
-    r.perf.shard.boundary_flits = sys.mesh().boundary_flits();
-    r.perf.shard.windowed_sends = sys.mesh().windowed_sends();
-    if (sys.shards() > 1) {
-      r.perf.shard.map = sim::shard_map_name(sys.shard_map());
-      // Top-N hottest tiles by the same activity signal the profile
-      // balancer partitions on.
-      const auto cost = sys.tile_costs();
-      std::vector<std::pair<std::uint32_t, std::uint64_t>> top;
-      for (std::uint32_t t = 0; t < cost.size(); ++t) {
-        if (cost[t] > 0) top.emplace_back(t, cost[t]);
-      }
-      std::sort(top.begin(), top.end(), [](const auto& a, const auto& b) {
-        return a.second != b.second ? a.second > b.second
-                                    : a.first < b.first;
-      });
-      if (top.size() > perf::ShardExecPerf::kTileTopN) {
-        top.resize(perf::ShardExecPerf::kTileTopN);
-      }
-      r.perf.shard.tile_top = std::move(top);
-    }
   }
   workload.verify(ctx);
 

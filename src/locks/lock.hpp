@@ -23,11 +23,10 @@ namespace glocks::locks {
 
 struct LockStats {
   std::string name;                     ///< for reports ("L1", "task-q"...)
-  /// Sampled by ContentionCensus. Atomic (relaxed) because under sharded
-  /// execution cores on different shard workers enter/leave the acquire
-  /// wrapper within one wave; the census itself samples at the epoch
-  /// boundary with every worker parked, so the *value* it reads is
-  /// deterministic — the atomic only keeps the concurrent ++/-- exact.
+  /// Sampled by ContentionCensus once per cycle, after every core has
+  /// ticked. Atomic (relaxed) so a concurrent ++/-- from several host
+  /// threads would stay exact; a machine runs on one host thread today,
+  /// where the atomic costs nothing observable.
   std::atomic<std::uint32_t> current_requesters{0};
   std::uint64_t acquires = 0;
   std::uint64_t releases = 0;

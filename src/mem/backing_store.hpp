@@ -17,12 +17,10 @@
 
 namespace glocks::mem {
 
-// Under sharded execution, directory slices on different shard workers
-// hit the store concurrently (L2 misses, writebacks in the same wave),
-// so every access takes the mutex. Accesses are rare — each models a
-// hundreds-of-cycles DRAM trip — and different shards always touch
-// different lines within a wave (a line has one home directory, owned
-// by one shard), so the lock only serializes the map structure itself.
+// Every access takes the mutex, so the store stays safe if several host
+// threads ever share one machine (a machine runs on one host thread
+// today). Accesses are rare — each models a hundreds-of-cycles DRAM
+// trip — so the uncontended lock costs nothing measurable.
 class BackingStore {
  public:
   /// Reads a full line; untouched memory reads as zero.

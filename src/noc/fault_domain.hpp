@@ -9,10 +9,9 @@
 // injected == detected + tolerated reconciliation) is reused verbatim.
 // Guards hold no packets: an in-flight frame *is* the head of its input
 // FIFO at the sending router until the ack lands, so the checkpoint
-// format stays packet-exact and the sharded lockstep never sees a packet
-// outside a router queue. All judging happens on the coordinator thread
-// inside Mesh::tick, in a fixed scan order, so faulted runs are
-// bit-identical across --jobs, --shards, and checkpoint/restore.
+// format stays packet-exact. All judging happens inside Mesh::tick, in a
+// fixed scan order, so faulted runs are bit-identical across repeats,
+// --jobs, and checkpoint/restore.
 #pragma once
 
 #include <cstdint>

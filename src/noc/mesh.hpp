@@ -62,7 +62,7 @@ struct ExpressPerf {
 /// express path".
 class MeshFaultDomain;
 
-class Mesh final : public sim::Component, public BoundaryStager {
+class Mesh final : public sim::Component {
  public:
   Mesh(std::uint32_t num_tiles, std::uint32_t width, NocConfig cfg);
   ~Mesh() override;
@@ -85,76 +85,6 @@ class Mesh final : public sim::Component, public BoundaryStager {
   void send(CoreId src, CoreId dst, MsgClass cls, std::uint32_t size_bytes,
             Cycle now, void* payload = nullptr,
             PayloadKind kind = PayloadKind::kNone);
-
-  /// Sharded execution support. With `num_shards` > 1, a send() made
-  /// from a shard-wave worker thread is staged in a per-shard buffer
-  /// instead of entering the fabric; the engine's barrier hooks call
-  /// flush_staged() on the main thread, which replays every staged send
-  /// in ascending sender-slot order — the order the serial scan would
-  /// have issued them — so express decisions and router arbitration are
-  /// bit-identical to the single-thread kernel. `tile_shard` maps each
-  /// tile to its owning shard: express fast-forwarding declines any
-  /// route that crosses a shard boundary (timing-neutral — the
-  /// hop-by-hop path is always exact).
-  ///
-  /// With `window_capable`, the fabric itself is split into per-shard
-  /// regions (the tile->shard map may be arbitrary — each region keeps
-  /// its own ascending tile list) so the engine can run multi-cycle
-  /// lookahead windows: each shard ticks its own tiles' NICs and
-  /// routers on its local clock, output links whose neighbor lies in
-  /// another shard stage
-  /// their forwards with the mesh (BoundaryStager), and end_window()
-  /// merges the staged flits deterministically — always before their
-  /// ready cycles, so downstream arbitration bytes are unchanged.
-  /// Requires the fault domain off and no live express flights (call
-  /// materialize_expresses() first); express stays declined while the
-  /// region plan is installed.
-  void set_sharding(std::uint32_t num_shards,
-                    std::vector<std::uint32_t> tile_shard,
-                    bool window_capable = false);
-  void flush_staged();
-
-  /// Demotes every active express flight into the physical fabric
-  /// (no-op when none are active); the window-capable install path must
-  /// call this before region-sharding the fabric.
-  void materialize_expresses(Cycle now) { materialize_all(now); }
-
-  // -- Region-sharded (windowed) execution ------------------------------
-  // The engine's window planner and per-shard window bodies drive these
-  // through ShardHooks; see docs/simulation_model.md.
-  /// Planner limits for a window starting at `now` (main thread).
-  sim::MeshWindowLimits window_limits(Cycle now) const;
-  /// Freezes boundary-FIFO bases and recomputes per-region loads; sends
-  /// switch to the direct per-region path until end_window().
-  void begin_window(Cycle start, Cycle end);
-  /// One cycle of `shard`'s region: NIC drains then router ticks over
-  /// its own tiles (called from that shard's worker thread).
-  void tick_region(std::uint32_t shard, Cycle now);
-  /// True when `shard`'s region holds packets (worker thread, own
-  /// region only).
-  bool region_busy(std::uint32_t shard) const {
-    return !regions_.empty() && regions_[shard].load > 0;
-  }
-  /// Flushes staged boundary flits in deterministic order and folds
-  /// per-region accounting; returns true when the fabric is still busy.
-  bool end_window(Cycle end);
-
-  bool boundary_can_accept(std::int32_t link, MsgClass cls) const override;
-  void boundary_stage(std::int32_t link, Packet&& p, Cycle ready) override;
-
-  /// Cross-shard sends staged by lockstep epochs and replayed at the
-  /// barrier flush (--perf shard-exec block).
-  std::uint64_t staged_sends() const { return staged_sends_; }
-  /// Flits carried across a region boundary via the staging taps.
-  std::uint64_t boundary_flits() const { return boundary_flits_; }
-  /// Sends issued directly into a shard's own region inside windows.
-  std::uint64_t windowed_sends() const { return windowed_sends_; }
-
-  /// Per-tile busy-router tick counts (a router counted once per cycle
-  /// it held packets when ticked). Host-side perf feeding the profile
-  /// shard-map balancer and the SimPerf per-tile top-N; never
-  /// serialized, so archives stay strategy-invariant.
-  const std::vector<std::uint64_t>& tile_work() const { return tile_work_; }
 
   void tick(Cycle now) override;
 
@@ -196,13 +126,6 @@ class Mesh final : public sim::Component, public BoundaryStager {
   void load(ckpt::ArchiveReader& a, const PayloadCodec& codec);
 
  private:
-  /// One cross-thread send awaiting the barrier flush.
-  struct Staged {
-    std::uint32_t sender_slot;
-    Packet pkt;
-    Cycle now;
-  };
-
   struct Nic {
     /// Per-class outboxes, so a burst in one class cannot head-of-line
     /// block another class at the injection point.
@@ -221,26 +144,9 @@ class Mesh final : public sim::Component, public BoundaryStager {
     std::uint32_t hops = 0;  ///< Manhattan distance (route has hops+1 switches)
   };
 
-  /// The send path proper (seq assignment, express attempt, NIC outbox);
-  /// send() forwards here directly except for staged cross-thread sends,
-  /// which reach it via flush_staged().
-  void send_now(Packet&& p, Cycle now);
-  /// Direct windowed send from a shard worker into its own region: seq
-  /// stamp, region load/census deltas, NIC outbox push. No wake — the
-  /// engine re-syncs the coordinator slot at the window boundary.
-  void send_windowed(std::uint32_t shard, Packet&& p);
-  /// Stamps the per-source-tile sequence number. Every strategy (serial,
-  /// lockstep flush, windowed) stamps the same seq on the same logical
-  /// packet: tile T's k-th injection is strategy-invariant, so archives
-  /// byte-match across shard counts and window lengths.
+  /// Stamps the per-source-tile sequence number: tile T's k-th
+  /// injection gets the same seq whatever the other tiles did.
   void stamp_seq(Packet& p);
-  /// Delivers every staged boundary flit into its downstream FIFO (link
-  /// index, class, stage order — deterministic; within one FIFO stage
-  /// order equals ready order). Main thread only.
-  void flush_boundary();
-  /// Folds per-region deltas (in-flight census, traffic stats, tick
-  /// watermarks, send tallies) into the shared totals. Main thread only.
-  void fold_regions();
 
   /// The cycle at which a packet handed to the mesh "now" would be
   /// injected by the NIC drain: the mesh's next tick.
@@ -299,56 +205,6 @@ class Mesh final : public sim::Component, public BoundaryStager {
   std::vector<Placement> placements_;
   std::vector<std::size_t> due_;
   std::vector<Flight> delivering_;
-  /// Sharded execution: per-shard staging buffers (each naturally in
-  /// ascending sender-slot order) and the tile -> shard map feeding the
-  /// express boundary rule. Inert while num_shards_ == 1.
-  std::uint32_t num_shards_ = 1;
-  std::vector<std::uint32_t> tile_shard_;
-  std::vector<std::vector<Staged>> staged_;
-
-  /// One flit staged at a region boundary, awaiting the window-edge (or
-  /// lockstep end-of-tick) flush into the downstream FIFO.
-  struct StagedFlit {
-    Cycle ready = 0;
-    Packet pkt;
-  };
-  /// The tiles owned by one shard (ascending ids — any ownership map,
-  /// contiguous or not), plus the deltas its worker accumulates
-  /// privately during a window (folded into the shared totals at the
-  /// barrier so no counter is ever written concurrently).
-  struct Region {
-    std::vector<std::uint32_t> tiles;
-    /// Packets resident in the region (router occupancy + NIC backlog);
-    /// recomputed at begin_window, maintained during the window.
-    std::uint64_t load = 0;
-    std::int64_t in_flight_delta = 0;
-    std::uint64_t sent = 0;        ///< windowed sends this window
-    Cycle last_tick = kNoCycle;    ///< latest region tick (folds to max)
-    TrafficStats stats;            ///< per-region bucket (rebind_stats)
-  };
-  /// One directed cross-region link: src tile forwards into dst tile's
-  /// input port `in`. `base` freezes the per-class downstream FIFO depth
-  /// at window start; in-window capacity checks use base + staged, which
-  /// the planner's headroom clamp keeps strictly below the queue depth
-  /// (so the tap never declines a forward the serial scan accepts).
-  struct BoundaryLink {
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    Dir in = Dir::kLocal;
-    std::array<std::uint32_t, kNumMsgClasses> base{};
-    std::array<std::vector<StagedFlit>, kNumMsgClasses> staged;
-  };
-  /// True while a window-capable region plan is installed; epoch_windowed_
-  /// only inside a windowed epoch (between begin_window and end_window).
-  bool window_mode_ = false;
-  bool epoch_windowed_ = false;
-  std::vector<Region> regions_;
-  std::vector<BoundaryLink> blinks_;
-  std::uint64_t staged_sends_ = 0;    ///< perf only; not serialized
-  std::uint64_t boundary_flits_ = 0;  ///< perf only; not serialized
-  std::uint64_t windowed_sends_ = 0;  ///< perf only; not serialized
-  /// Busy-router ticks per tile (see tile_work()); perf only.
-  std::vector<std::uint64_t> tile_work_;
   /// Mesh fault domain (null in faults-off runs: every baseline path is
   /// byte-identical to a build without the feature).
   std::unique_ptr<MeshFaultDomain> fault_;

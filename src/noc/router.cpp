@@ -63,17 +63,6 @@ Packet Router::take_head(Dir in, MsgClass cls) {
   return p;
 }
 
-Cycle Router::earliest_input_ready() const {
-  if (occupancy_ == 0) return kNoCycle;
-  Cycle best = kNoCycle;
-  for (const auto& port : in_) {
-    for (const auto& q : port) {
-      if (!q.empty() && q.front().ready < best) best = q.front().ready;
-    }
-  }
-  return best;
-}
-
 Dir Router::route(std::uint32_t dst_x, std::uint32_t dst_y) const {
   // XY dimension-order: resolve X first, then Y. Deadlock-free on a mesh.
   if (dst_x > x_) return Dir::kEast;
@@ -102,7 +91,7 @@ void Router::tick(Cycle now) {
   // Empty-router fast path: a tick with nothing resident has no
   // architectural effect at all — the round-robin pointer only rotates
   // on cycles where arbitration saw a ready head, so idle cycles can be
-  // skipped (globally or per region) without changing a single byte.
+  // skipped without changing a single byte.
   if (occupancy_ == 0) return;
   bool busy = false;
 
@@ -144,23 +133,6 @@ void Router::tick(Cycle now) {
       out = route(head.dst % mesh_w_, head.dst / mesh_w_);
     }
     if (out_used[idx(out)]) continue;
-    if (out != Dir::kLocal && blink_[idx(out)] >= 0 && fault_ == nullptr) {
-      // Cross-region link: the downstream FIFO belongs to another shard.
-      // Stage the forward with the mesh instead of touching it directly;
-      // the stager's capacity check answers exactly what can_accept()
-      // would have.
-      const std::int32_t link = blink_[idx(out)];
-      if (!stager_->boundary_can_accept(link, head.cls)) continue;
-      out_used[idx(out)] = true;
-      Packet p = std::move(head);
-      q.pop_front();
-      --occupancy_;
-      stats_->record_hop(p.cls, p.size_bytes);
-      stager_->boundary_stage(
-          link, std::move(p),
-          now + timing_.router_latency + timing_.link_latency);
-      continue;
-    }
     if (out != Dir::kLocal) {
       if (!neighbors_[idx(out)]->can_accept(opposite(out), head.cls)) {
         continue;  // backpressure: downstream FIFO (same class) full

@@ -108,26 +108,6 @@ class LinkFaultModel {
                               MsgClass cls, Cycle now) = 0;
 };
 
-/// Staging hooks for output links that cross a shard-region boundary.
-/// When the mesh is region-sharded, a router whose neighbor in some
-/// direction belongs to another shard must not touch that neighbor's
-/// FIFOs mid-window (they are owned by another thread). Instead the
-/// forward is staged with the mesh, which delivers it at the next window
-/// boundary — before the entry's ready cycle, so arbitration bytes are
-/// unchanged. Implemented by noc::Mesh.
-class BoundaryStager {
- public:
-  /// Capacity check standing in for the downstream can_accept(): must
-  /// never accept when the serial scan would have hit backpressure.
-  virtual bool boundary_can_accept(std::int32_t link, MsgClass cls) const = 0;
-  /// Stages the packet for delivery into the downstream FIFO with the
-  /// given ready cycle (now + router_latency + link_latency).
-  virtual void boundary_stage(std::int32_t link, Packet&& p, Cycle ready) = 0;
-
- protected:
-  ~BoundaryStager() = default;
-};
-
 class Router {
  public:
   using Sink = std::function<void(Packet&&)>;
@@ -163,7 +143,7 @@ class Router {
   /// round-robin pointer advances only on cycles where the router had at
   /// least one ready head (an input-FIFO head or pending local delivery
   /// with ready <= now) — an idle tick has no architectural effect at
-  /// all, so skipped, folded, or per-region-skipped cycles are exact.
+  /// all, so skipped or folded cycles are exact.
   void tick(Cycle now);
 
   /// Credits one busy-tick's round-robin rotation without ticking. Used
@@ -177,21 +157,6 @@ class Router {
   /// Packets resident in this router (all input FIFOs + local_out_).
   std::uint32_t occupancy() const { return occupancy_; }
 
-  /// Live depth of one input FIFO (window-planner headroom checks).
-  std::uint32_t queue_size(Dir in, MsgClass cls) const {
-    return static_cast<std::uint32_t>(
-        in_[idx(in)][static_cast<std::size_t>(cls)].size());
-  }
-  /// Earliest ready cycle across the input-FIFO heads, or kNoCycle when
-  /// every input FIFO is empty. Within one FIFO ready cycles are
-  /// monotone (every entry path adds a fixed latency to an increasing
-  /// push cycle), so the heads bound the whole router.
-  Cycle earliest_input_ready() const;
-  /// Ready cycle of the oldest pending local delivery (kNoCycle if none).
-  Cycle local_head_ready() const {
-    return local_out_.empty() ? kNoCycle : local_out_.front().ready;
-  }
-
   /// Decides the output direction for a packet destined to tile coords.
   Dir route(std::uint32_t dst_x, std::uint32_t dst_y) const;
 
@@ -203,24 +168,6 @@ class Router {
   void place(Dir in, MsgClass cls, Packet&& p, Cycle ready);
   /// Same, for the local ejection queue (a flight past its last switch).
   void place_local(Packet&& p, Cycle ready);
-
-  /// Marks the output in direction `d` as crossing a shard-region
-  /// boundary: forwards through it are staged with `s` under `link`
-  /// instead of pushed into the neighbor directly. Never combined with
-  /// the fault domain (fault-armed runs keep the serial coordinator).
-  void set_boundary(BoundaryStager* s, Dir d, std::int32_t link) {
-    stager_ = s;
-    blink_[idx(d)] = link;
-  }
-  void clear_boundaries() {
-    stager_ = nullptr;
-    blink_.fill(-1);
-  }
-
-  /// Redirects traffic statistics into `s` (e.g. a per-region bucket so
-  /// concurrent region ticks never race on the shared totals). Pass the
-  /// mesh-global stats to restore the default.
-  void rebind_stats(TrafficStats* s) { stats_ = s; }
 
   /// Fault-domain access to a guarded queue head: the guard inspects the
   /// in-flight frame (peek) and removes it on successful link delivery
@@ -258,10 +205,6 @@ class Router {
   Sink sink_;
   std::uint32_t rr_ = 0;  ///< round-robin start index for input arbitration
   LinkFaultModel* fault_ = nullptr;  ///< mesh fault domain hooks (may be null)
-  BoundaryStager* stager_ = nullptr;  ///< region-boundary staging (may be null)
-  /// Per-direction boundary link id with `stager_`, or -1 for a direct
-  /// (same-region) link.
-  std::array<std::int32_t, kNumDirs> blink_{{-1, -1, -1, -1, -1}};
   /// Packets resident in this router (all input FIFOs + local_out_); lets
   /// an idle tick skip the kSlots arbitration scan entirely.
   std::uint32_t occupancy_ = 0;

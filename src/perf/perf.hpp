@@ -4,12 +4,10 @@
 // back into simulation state, so enabling it cannot change results.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -49,43 +47,6 @@ struct MsgPathPerf {
   double express_hit_rate() const;
 };
 
-/// Sharded-execution counters: lockstep vs windowed epochs, the
-/// window-length histogram, per-shard busy vs barrier-wait wall time,
-/// and the cross-shard staging volume. All zero when the run was not
-/// sharded. Histogram buckets match sim::WindowPerf: window length
-/// 1, 2, 3, 4, 5-8, 9-16, 17-64, 65+.
-struct ShardExecPerf {
-  std::uint32_t shards = 0;           ///< max across merged runs
-  std::uint64_t lockstep_epochs = 0;  ///< serial-coordinator epochs
-  std::uint64_t windowed_epochs = 0;  ///< region-sharded multi-cycle epochs
-  std::uint64_t windowed_cycles = 0;  ///< cycles covered by windowed epochs
-  std::array<std::uint64_t, 8> window_hist{};
-  std::uint64_t cross_wakes = 0;      ///< barrier-merged cross-shard wakes
-  std::uint64_t epoch_wall_ns = 0;    ///< wall time inside sharded epochs
-  /// Wall time each shard spent executing its wave/window body; the gap
-  /// to epoch_wall_ns is that shard's barrier wait.
-  std::vector<std::uint64_t> shard_busy_ns;
-  std::uint64_t staged_packets = 0;   ///< lockstep NIC sends flushed at barriers
-  std::uint64_t boundary_flits = 0;   ///< flits staged across region boundaries
-  std::uint64_t windowed_sends = 0;   ///< direct per-region sends in windows
-  /// Active tile->shard ownership policy name ("block", "stripe",
-  /// "quad", "profile"); empty when the run was not sharded, "mixed"
-  /// when merged runs disagree.
-  std::string map;
-  /// The kTileTopN highest-activity tiles as (tile id, cost) pairs,
-  /// descending; cost = engine slot ticks + busy-router ticks — the
-  /// same signal the profile balancer partitions on. Merged runs sum
-  /// per tile and re-rank.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> tile_top;
-  /// How many tiles the harness keeps in tile_top.
-  static constexpr std::size_t kTileTopN = 8;
-
-  /// Mean cycles per windowed epoch (0 when none ran).
-  double avg_window() const;
-  /// Wall time shard `s` spent parked at barriers (saturating).
-  std::uint64_t wait_ns(std::size_t s) const;
-};
-
 /// One run's (or an aggregate of runs') simulator-throughput measurement.
 struct SimPerf {
   double wall_seconds = 0.0;
@@ -93,7 +54,6 @@ struct SimPerf {
   std::uint64_t runs = 0;
   sim::EnginePerf engine;
   MsgPathPerf msg;
-  ShardExecPerf shard;
   /// Per-component tick/wake counts, merged by slot name across runs.
   std::vector<sim::SlotPerf> slots;
 

@@ -7,94 +7,21 @@
 //   glocksim --workload ACTR --lock glock --trace actr.json
 //   glocksim --replay mytrace.txt --lock glock
 //
-// Flags:
-//   --workload NAME      benchmark to run (see --list)           [required]
-//   --lock KIND          highly-contended lock implementation    [glock]
-//   --regular-lock KIND  implementation for other locks          [tatas]
-//   --cores N            number of cores                         [32]
-//   --scale X            input-size scale in (0,1]               [1.0]
-//   --seed N             workload RNG seed                       [1]
-//   --glocks N           hardware GLocks provisioned             [2]
-//   --gline-latency N    G-line signal latency in cycles         [1]
-//   --auto-assign        profile first, bind GLocks automatically
-//   --csv                emit one CSV row (with header) instead of text
-//   --json               emit a JSON document instead of text
-//   --trace FILE         write a Chrome-trace JSON of lock/barrier events
-//   --replay FILE        replay a lock-access trace instead of --workload
-//                        (see workloads/trace_replay.hpp for the format)
-//   --faults SPEC        enable fault injection; SPEC is a bare rate
-//                        ("0.001") or a key=value list. Bare keys target
-//                        the G-line domain ("drop=1e-3,stuck=1e-4,
-//                        fallback=mcs"); a "gline:" or "mesh:" prefix
-//                        names the domain explicitly — "mesh:drop=1e-4,
-//                        mesh:dead=1e-6" arms the mesh-link fault domain
-//                        (link-level retry, detour routing, end-to-end
-//                        MSHR watchdogs), and "mesh:kill=TILE.D@CYCLE"
-//                        (D in n/s/e/w) scripts a deterministic link
-//                        death. Domains compose in one SPEC; see
-//                        fault/fault.hpp and docs/fault_model.md. Adds
-//                        the armed domains' fault/recovery sections to
-//                        the report (and CSV/JSON output).
-//   --fault-seed N       fault-injector seed (overrides seed= in SPEC)
-//   --shards N           host threads the machine is sharded across   [1]
-//                        (or the GLOCKS_SHARDS env var when the flag is
-//                        absent). An execution strategy, not a model
-//                        parameter: output is bit-identical for every N.
-//                        With --restore, the verified replay re-shards
-//                        to N for the remaining run. Incompatible with
-//                        --trace (trace events are appended from core
-//                        ticks, which run on shard workers).
-//   --shard-window L     conservative-lookahead window length for the
-//                        sharded kernel (or GLOCKS_SHARD_WINDOW when the
-//                        flag is absent): 1 = per-cycle lockstep, 0 =
-//                        auto (windows run to the safety bounds, the
-//                        default), L > 1 caps windows at L cycles. An
-//                        execution strategy like --shards — output is
-//                        bit-identical for every value. With --restore,
-//                        applies to the post-verification tail.
-//   --shard-map P        tile->shard ownership policy for the sharded
-//                        kernel (or GLOCKS_SHARD_MAP when the flag is
-//                        absent): block (contiguous bands, the default),
-//                        stripe (round-robin), quad (recursive-bisection
-//                        blocks minimizing the boundary cut), or profile
-//                        (load-balanced from per-tile activity — a map
-//                        file, else a short in-run warmup). An execution
-//                        strategy like --shards — output is bit-identical
-//                        under every map. With --restore, the verified
-//                        replay re-maps the tail to P.
-//   --shard-map-file F   with --shard-map profile: load the map from F
-//                        when it exists and fits; otherwise the warmup's
-//                        map is saved to F so later runs (e.g. sweep
-//                        jobs) reuse one profiling pass.
-//   --perf               print a simulator-throughput summary (wall time,
-//                        Mcycles/s, kernel tick/skip counters) to stderr;
-//                        stdout output is unchanged
-//   --checkpoint-every N write a checkpoint of the full simulator state
-//                        every N cycles (see docs/checkpoint_format.md).
-//                        Incompatible with --replay (trace replays are
-//                        not in the registry, so a checkpoint could not
-//                        name its workload) and with --trace.
-//   --checkpoint-dir D   directory checkpoint files land in         [.]
-//   --restore FILE       resume the run saved in FILE: replay to the
-//                        checkpoint cycle, byte-verify the machine
-//                        against the archive, then run to completion.
-//                        The run's spec comes from FILE — no --workload
-//                        or machine flags. Output (text/CSV/JSON) is
-//                        bit-identical to the uninterrupted run's.
-//   --list               list available workloads and lock kinds
+// `glocksim --help` prints the flag reference (kUsage below). Mistakes on
+// the command line exit with status 2 and the usage text on stderr; a
+// failing simulation exits with status 1.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <iostream>
-#include <optional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "ckpt/checkpoint.hpp"
 #include "fault/fault.hpp"
 #include "harness/auto_policy.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
-#include "sim/shard.hpp"
 #include "tools/args.hpp"
 #include "trace/tracer.hpp"
 #include "workloads/registry.hpp"
@@ -103,6 +30,54 @@
 namespace {
 
 using namespace glocks;
+using tools::usage_check;
+
+constexpr const char* kUsage = R"(usage: glocksim --workload NAME [flags]
+       glocksim --replay FILE [flags]
+       glocksim --restore FILE [--csv | --json] [--perf]
+       glocksim --list | --help
+
+  --workload NAME      benchmark to run (see --list)
+  --lock KIND          highly-contended lock implementation    [glock]
+  --regular-lock KIND  implementation for other locks          [tatas]
+  --cores N            number of cores; meshes wider than 7 tiles at
+                       --gline-latency 1 use the hierarchical G-line
+                       network                                 [32]
+  --scale X            input-size scale in (0,1]               [1.0]
+  --seed N             workload RNG seed                       [1]
+  --glocks N           hardware GLocks provisioned             [2]
+  --gline-latency N    G-line signal latency in cycles         [1]
+  --auto-assign        profile first, bind GLocks automatically
+  --csv                emit one CSV row (with header) instead of text
+  --json               emit a JSON document instead of text
+  --trace FILE         write a Chrome-trace JSON of lock/barrier events
+  --replay FILE        replay a lock-access trace instead of --workload
+                       (format: workloads/trace_replay.hpp)
+  --faults SPEC        enable fault injection. SPEC is a bare rate
+                       ("0.001") or a key=value list; bare keys target
+                       the G-line domain ("drop=1e-3,stuck=1e-4,
+                       fallback=mcs"), a "gline:" or "mesh:" prefix
+                       names the domain ("mesh:drop=1e-4,mesh:dead=1e-6";
+                       "mesh:kill=TILE.D@CYCLE", D in n/s/e/w, scripts a
+                       link death). See docs/fault_model.md.
+  --fault-seed N       fault-injector seed (overrides seed= in SPEC)
+  --perf               print a simulator-throughput summary to stderr
+  --checkpoint-every N write a checkpoint every N cycles (not with
+                       --replay or --trace; docs/checkpoint_format.md)
+  --checkpoint-dir D   directory checkpoint files land in      [.]
+  --restore FILE       resume the run saved in FILE: replay to the
+                       checkpoint cycle, byte-verify, run to completion;
+                       the run's spec comes from FILE
+  --list               list available workloads and lock kinds
+  --help               print this text
+)";
+
+locks::LockKind lock_kind(const std::string& name) {
+  const auto kind = locks::parse_lock_kind(name);
+  usage_check(kind.has_value(),
+              "unknown lock kind '" + name + "' (try --list)");
+  return *kind;
+}
 
 int list_everything() {
   std::printf("workloads:\n");
@@ -118,213 +93,31 @@ int list_everything() {
   return 0;
 }
 
-/// --shards when given, else GLOCKS_SHARDS from the environment, else
-/// nothing (callers pick their own default).
-std::optional<std::uint32_t> requested_shards(const tools::Args& args) {
-  if (args.has("shards")) {
-    const std::uint64_t n = args.get_u64("shards", 1);
-    GLOCKS_CHECK(n >= 1, "--shards needs a positive count");
-    return static_cast<std::uint32_t>(n);
+int run(int argc, char** argv) {
+  const tools::Args args(
+      argc, argv, {"auto-assign", "csv", "json", "list", "perf", "help"},
+      {"workload", "lock", "regular-lock", "cores", "scale", "seed",
+       "glocks", "gline-latency", "trace", "replay", "faults", "fault-seed",
+       "checkpoint-every", "checkpoint-dir", "restore"});
+  if (args.has("help")) {
+    std::fputs(kUsage, stdout);
+    return 0;
   }
-  const char* env = std::getenv("GLOCKS_SHARDS");
-  if (env != nullptr && *env != '\0') {
-    const unsigned long n = std::strtoul(env, nullptr, 10);
-    GLOCKS_CHECK(n >= 1, "GLOCKS_SHARDS needs a positive count");
-    return static_cast<std::uint32_t>(n);
-  }
-  return std::nullopt;
-}
+  if (args.has("list") || argc == 1) return list_everything();
 
-/// --shard-window when given, else GLOCKS_SHARD_WINDOW from the
-/// environment, else nothing (the config default — auto — applies).
-std::optional<std::uint32_t> requested_window(const tools::Args& args) {
-  if (args.has("shard-window")) {
-    return static_cast<std::uint32_t>(args.get_u64("shard-window", 0));
-  }
-  const char* env = std::getenv("GLOCKS_SHARD_WINDOW");
-  if (env != nullptr && *env != '\0') {
-    return static_cast<std::uint32_t>(std::strtoul(env, nullptr, 10));
-  }
-  return std::nullopt;
-}
-
-/// --shard-map when given, else GLOCKS_SHARD_MAP from the environment,
-/// else nothing (the config default — block — applies).
-std::optional<ShardMapPolicy> requested_map(const tools::Args& args) {
-  std::string name = args.get("shard-map");
-  if (name.empty()) {
-    const char* env = std::getenv("GLOCKS_SHARD_MAP");
-    if (env != nullptr) name = env;
-  }
-  if (name.empty()) return std::nullopt;
-  const auto p = sim::parse_shard_map(name);
-  GLOCKS_CHECK(p.has_value(), "unknown shard map '"
-                                  << name
-                                  << "' (block, stripe, quad, profile)");
-  return p;
-}
-
-/// --shard-map-file when given, else GLOCKS_SHARD_MAP_FILE.
-std::string requested_map_file(const tools::Args& args) {
-  const std::string f = args.get("shard-map-file");
-  if (!f.empty()) return f;
-  const char* env = std::getenv("GLOCKS_SHARD_MAP_FILE");
-  return env != nullptr ? env : "";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    const tools::Args args(argc, argv,
-                           {"auto-assign", "csv", "json", "list", "perf"});
-    if (args.has("list") || argc == 1) return list_everything();
-
-    if (args.has("restore")) {
-      GLOCKS_CHECK(!args.has("workload") && !args.has("replay") &&
-                       !args.has("checkpoint-every") && !args.has("trace"),
-                   "--restore takes the run's spec from the checkpoint "
-                   "file; drop --workload/--replay/--checkpoint-every/"
-                   "--trace");
-      const std::string path = args.get("restore");
-      const auto meta = ckpt::read_checkpoint_meta(path);
-      const auto result =
-          ckpt::restore_and_run(path, requested_shards(args),
-                                requested_window(args), requested_map(args));
-      if (args.has("csv")) {
-        harness::write_csv_header(std::cout, meta.spec.cmp.fault.enabled,
-                                  meta.spec.cmp.fault.mesh.enabled);
-        harness::write_csv_row(result, std::cout,
-                               meta.spec.cmp.fault.enabled,
-                               meta.spec.cmp.fault.mesh.enabled);
-      } else if (args.has("json")) {
-        harness::write_json(result, std::cout);
-      } else {
-        std::cout << harness::summary_text(result);
-      }
-      if (args.has("perf")) std::cerr << result.perf.summary();
-      return 0;
-    }
-
-    const std::string name = args.get("workload");
-    const std::string replay_file = args.get("replay");
-    GLOCKS_CHECK(!name.empty() || !replay_file.empty(),
-                 "--workload or --replay is required (try --list)");
-
-    harness::RunConfig cfg;
-    cfg.cmp.num_cores =
-        static_cast<std::uint32_t>(args.get_u64("cores", 32));
-    cfg.cmp.gline.num_glocks =
-        static_cast<std::uint32_t>(args.get_u64("glocks", 2));
-    cfg.cmp.gline.signal_latency = args.get_u64("gline-latency", 1);
-    cfg.seed = args.get_u64("seed", 1);
-    if (const auto shards = requested_shards(args)) {
-      cfg.cmp.num_shards = *shards;
-    }
-    if (const auto window = requested_window(args)) {
-      cfg.cmp.shard_window = *window;
-    }
-    if (const auto map = requested_map(args)) cfg.cmp.shard_map = *map;
-    cfg.cmp.shard_map_file = requested_map_file(args);
-
-    if (args.has("faults")) {
-      cfg.cmp.fault = fault::parse_fault_spec(args.get("faults"));
-    }
-    if (args.has("fault-seed")) {
-      GLOCKS_CHECK(cfg.cmp.fault.any(),
-                   "--fault-seed needs --faults to enable injection");
-      cfg.cmp.fault.seed = args.get_u64("fault-seed", 0);
-    }
-
-    const auto hc = locks::parse_lock_kind(args.get("lock", "glock"));
-    const auto reg =
-        locks::parse_lock_kind(args.get("regular-lock", "tatas"));
-    GLOCKS_CHECK(hc.has_value() && reg.has_value(),
-                 "unknown lock kind (try --list)");
-    cfg.policy.highly_contended = *hc;
-    cfg.policy.regular = *reg;
-
-    const double scale = args.get_double("scale", 1.0);
-
-    // Resolve the workload: registry entry or trace-replay file.
-    const workloads::RegistryEntry* entry = nullptr;
-    harness::WorkloadFactory factory;
-    if (!replay_file.empty()) {
-      std::ifstream in(replay_file);
-      GLOCKS_CHECK(in.good(), "cannot open trace " << replay_file);
-      auto trace = std::make_shared<workloads::LockTrace>(
-          workloads::parse_lock_trace(in));
-      factory = [trace](double) {
-        return std::make_unique<workloads::TraceReplay>(*trace);
-      };
-    } else {
-      for (const auto& e : workloads::registry()) {
-        if (e.name == name) entry = &e;
-      }
-      GLOCKS_CHECK(entry != nullptr, "unknown workload " << name);
-      factory = entry->make;
-    }
-
-    if (args.has("auto-assign")) {
-      const auto assignment = harness::auto_assign_glocks(factory, cfg);
-      cfg.policy = assignment.policy;
-      if (!args.has("csv") && !args.has("json")) {
-        std::printf("auto-assigned GLocks:");
-        bool any = false;
-        for (const auto& s : assignment.scores) {
-          if (s.chosen) {
-            std::printf(" %s", s.name.c_str());
-            any = true;
-          }
-        }
-        std::printf(any ? "\n" : " (none)\n");
-      }
-    }
-
-    trace::Tracer tracer;
-    if (args.has("trace")) cfg.tracer = &tracer;
-
-    harness::RunResult result;
-    if (args.has("checkpoint-every")) {
-      GLOCKS_CHECK(replay_file.empty(),
-                   "--checkpoint-every cannot checkpoint a --replay run: "
-                   "trace replays are not registry workloads, so a "
-                   "restore could not rebuild them");
-      GLOCKS_CHECK(!args.has("trace"),
-                   "--checkpoint-every and --trace are mutually exclusive");
-      const Cycle every = args.get_u64("checkpoint-every", 0);
-      GLOCKS_CHECK(every > 0,
-                   "--checkpoint-every needs a positive cycle count");
-      ckpt::RunSpec spec;
-      spec.workload = name;
-      spec.scale = scale;
-      spec.seed = cfg.seed;
-      spec.cmp = cfg.cmp;
-      spec.policy = cfg.policy;  // post --auto-assign: already resolved
-      spec.energy = cfg.energy;
-      std::vector<std::string> written;
-      result = ckpt::run_with_checkpoints(
-          spec, ckpt::periodic_pauses(every, cfg.cmp.max_cycles),
-          args.get("checkpoint-dir", "."), &written);
-      std::fprintf(stderr, "checkpoints: %zu written\n", written.size());
-    } else {
-      auto wl = factory(scale);
-      result = harness::run_workload(*wl, cfg);
-    }
-
-    if (args.has("trace")) {
-      std::ofstream out(args.get("trace"));
-      GLOCKS_CHECK(out.good(), "cannot open " << args.get("trace"));
-      tracer.write_chrome_json(out);
-      std::fprintf(stderr, "trace: %zu events -> %s\n",
-                   tracer.events().size(), args.get("trace").c_str());
-    }
-
+  if (args.has("restore")) {
+    usage_check(!args.has("workload") && !args.has("replay") &&
+                    !args.has("checkpoint-every") && !args.has("trace"),
+                "--restore takes the run's spec from the checkpoint file; "
+                "drop --workload/--replay/--checkpoint-every/--trace");
+    const std::string path = args.get("restore");
+    const auto meta = ckpt::read_checkpoint_meta(path);
+    const auto result = ckpt::restore_and_run(path);
     if (args.has("csv")) {
-      harness::write_csv_header(std::cout, cfg.cmp.fault.enabled,
-                                cfg.cmp.fault.mesh.enabled);
-      harness::write_csv_row(result, std::cout, cfg.cmp.fault.enabled,
-                             cfg.cmp.fault.mesh.enabled);
+      harness::write_csv_header(std::cout, meta.spec.cmp.fault.enabled,
+                                meta.spec.cmp.fault.mesh.enabled);
+      harness::write_csv_row(result, std::cout, meta.spec.cmp.fault.enabled,
+                             meta.spec.cmp.fault.mesh.enabled);
     } else if (args.has("json")) {
       harness::write_json(result, std::cout);
     } else {
@@ -332,6 +125,132 @@ int main(int argc, char** argv) {
     }
     if (args.has("perf")) std::cerr << result.perf.summary();
     return 0;
+  }
+
+  const std::string name = args.get("workload");
+  const std::string replay_file = args.get("replay");
+  usage_check(!name.empty() || !replay_file.empty(),
+              "--workload or --replay is required (try --list)");
+
+  harness::RunConfig cfg;
+  cfg.cmp.num_cores = static_cast<std::uint32_t>(args.get_u64("cores", 32));
+  usage_check(cfg.cmp.num_cores >= 1, "--cores must be at least 1");
+  cfg.cmp.gline.num_glocks =
+      static_cast<std::uint32_t>(args.get_u64("glocks", 2));
+  cfg.cmp.gline.signal_latency = args.get_u64("gline-latency", 1);
+  cfg.cmp.gline.hierarchical = cfg.cmp.exceeds_flat_gline_reach();
+  cfg.seed = args.get_u64("seed", 1);
+
+  if (args.has("faults")) {
+    cfg.cmp.fault = fault::parse_fault_spec(args.get("faults"));
+  }
+  if (args.has("fault-seed")) {
+    usage_check(cfg.cmp.fault.any(),
+                "--fault-seed needs --faults to enable injection");
+    cfg.cmp.fault.seed = args.get_u64("fault-seed", 0);
+  }
+
+  cfg.policy.highly_contended = lock_kind(args.get("lock", "glock"));
+  cfg.policy.regular = lock_kind(args.get("regular-lock", "tatas"));
+
+  const double scale = args.get_double("scale", 1.0);
+  usage_check(scale > 0.0 && scale <= 1.0, "--scale must be in (0,1], got " +
+                                               args.get("scale"));
+
+  // Resolve the workload: registry entry or trace-replay file.
+  harness::WorkloadFactory factory;
+  if (!replay_file.empty()) {
+    std::ifstream in(replay_file);
+    GLOCKS_CHECK(in.good(), "cannot open trace " << replay_file);
+    auto trace = std::make_shared<workloads::LockTrace>(
+        workloads::parse_lock_trace(in));
+    factory = [trace](double) {
+      return std::make_unique<workloads::TraceReplay>(*trace);
+    };
+  } else {
+    for (const auto& e : workloads::registry()) {
+      if (e.name == name) factory = e.make;
+    }
+    usage_check(static_cast<bool>(factory),
+                "unknown workload '" + name + "' (try --list)");
+  }
+
+  if (args.has("auto-assign")) {
+    const auto assignment = harness::auto_assign_glocks(factory, cfg);
+    cfg.policy = assignment.policy;
+    if (!args.has("csv") && !args.has("json")) {
+      std::printf("auto-assigned GLocks:");
+      bool any = false;
+      for (const auto& s : assignment.scores) {
+        if (s.chosen) {
+          std::printf(" %s", s.name.c_str());
+          any = true;
+        }
+      }
+      std::printf(any ? "\n" : " (none)\n");
+    }
+  }
+
+  trace::Tracer tracer;
+  if (args.has("trace")) cfg.tracer = &tracer;
+
+  harness::RunResult result;
+  if (args.has("checkpoint-every")) {
+    usage_check(replay_file.empty(),
+                "--checkpoint-every cannot checkpoint a --replay run: "
+                "trace replays are not registry workloads, so a restore "
+                "could not rebuild them");
+    usage_check(!args.has("trace"),
+                "--checkpoint-every and --trace are mutually exclusive");
+    const Cycle every = args.get_u64("checkpoint-every", 0);
+    usage_check(every > 0, "--checkpoint-every needs a positive cycle count");
+    ckpt::RunSpec spec;
+    spec.workload = name;
+    spec.scale = scale;
+    spec.seed = cfg.seed;
+    spec.cmp = cfg.cmp;
+    spec.policy = cfg.policy;  // post --auto-assign: already resolved
+    spec.energy = cfg.energy;
+    std::vector<std::string> written;
+    result = ckpt::run_with_checkpoints(
+        spec, ckpt::periodic_pauses(every, cfg.cmp.max_cycles),
+        args.get("checkpoint-dir", "."), &written);
+    std::fprintf(stderr, "checkpoints: %zu written\n", written.size());
+  } else {
+    auto wl = factory(scale);
+    result = harness::run_workload(*wl, cfg);
+  }
+
+  if (args.has("trace")) {
+    std::ofstream out(args.get("trace"));
+    GLOCKS_CHECK(out.good(), "cannot open " << args.get("trace"));
+    tracer.write_chrome_json(out);
+    std::fprintf(stderr, "trace: %zu events -> %s\n",
+                 tracer.events().size(), args.get("trace").c_str());
+  }
+
+  if (args.has("csv")) {
+    harness::write_csv_header(std::cout, cfg.cmp.fault.enabled,
+                              cfg.cmp.fault.mesh.enabled);
+    harness::write_csv_row(result, std::cout, cfg.cmp.fault.enabled,
+                           cfg.cmp.fault.mesh.enabled);
+  } else if (args.has("json")) {
+    harness::write_json(result, std::cout);
+  } else {
+    std::cout << harness::summary_text(result);
+  }
+  if (args.has("perf")) std::cerr << result.perf.summary();
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const tools::UsageError& e) {
+    std::fprintf(stderr, "glocksim: %s\n%s", e.what(), kUsage);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "glocksim: %s\n", e.what());
     return 1;

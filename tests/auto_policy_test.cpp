@@ -54,7 +54,7 @@ TEST(AutoPolicy, RaytraceDispenserRanksFirst) {
   }
 }
 
-TEST(AutoPolicy, RespectsHardwareBudget) {
+TEST(AutoPolicy, RespectsTheHardwareBudget) {
   auto cfg = cfg16();
   cfg.cmp.gline.num_glocks = 1;
   const auto r = harness::auto_assign_glocks(entry("ACTR").make, cfg);

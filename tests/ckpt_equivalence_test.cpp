@@ -7,9 +7,12 @@
 // demand a bit-identical RunResult, twice (a checkpoint file is not
 // consumed by restoring from it). One workload repeats the whole
 // exercise under an active fault-injection plan, where the guarded
-// G-line ARQ machinery is live state. Finally: corrupted, version-
-// skewed, and mislabeled checkpoint files must fail with the matching
-// structured CkptError — never a crash, never a silently wrong run.
+// G-line ARQ machinery is live state; another under the mesh fault
+// domain. Two checkpoints written in one run must both restore, and two
+// independent runs paused at the same cycle must write the same bytes.
+// Finally: corrupted, version-skewed (newer, or the pre-v6 layout), and
+// mislabeled checkpoint files must fail with the matching structured
+// CkptError — never a crash, never a silently wrong run.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -120,6 +123,56 @@ TEST(CkptEquivalence, MeshFaultedRunRoundTrips) {
   check_resume_equivalence(spec, ::testing::TempDir());
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Several checkpoints in one run: pausing splits idle clock jumps, and
+// the restore verifier replays with a single pause, so nothing
+// serialized may depend on how earlier pauses split the run. The pause
+// cycles are odd so they rarely coincide with a natural wake cycle.
+TEST(CkptEquivalence, EveryCheckpointOfOneRunRestores) {
+  const ckpt::RunSpec spec = base_spec(workloads::registry()[0].name);
+  const harness::RunResult r0 = run_plain(spec);
+  ASSERT_GT(r0.cycles, 400u);
+  const Cycle p1 = (r0.cycles / 3) | 1;
+  const Cycle p2 = (2 * r0.cycles / 3) | 1;
+
+  std::vector<std::string> written;
+  ckpt::run_with_checkpoints(spec, {p1, p2}, ::testing::TempDir(), &written);
+  ASSERT_EQ(written.size(), 2u);
+  for (const std::string& path : written) {
+    const harness::RunResult r = ckpt::restore_and_run(path);
+    EXPECT_EQ(test::diff_results(r0, r), "") << path;
+    std::remove(path.c_str());
+  }
+}
+
+// The archive encodes only deterministic state (logical pool counters,
+// not host slab accounting), so two independent runs paused at the same
+// cycle write byte-identical files.
+TEST(CkptEquivalence, ArchivesAreByteStable) {
+  ckpt::RunSpec spec = base_spec(workloads::registry()[0].name);
+  spec.seed = 9;
+  const harness::RunResult r0 = run_plain(spec);
+  ASSERT_GT(r0.cycles, 200u);
+  const Cycle pause = r0.cycles / 2;
+
+  std::string bytes[2];
+  for (std::string& b : bytes) {
+    std::vector<std::string> written;
+    ckpt::run_with_checkpoints(spec, {pause}, ::testing::TempDir(),
+                               &written);
+    ASSERT_EQ(written.size(), 1u);
+    b = read_file(written[0]);
+    std::remove(written[0].c_str());
+  }
+  ASSERT_FALSE(bytes[0].empty());
+  EXPECT_EQ(bytes[0], bytes[1]);
+}
+
 // ---------------------------------------------------------------------
 // Rejection contract on real checkpoint files.
 
@@ -179,6 +232,19 @@ TEST_F(CkptRejection, NewerFormatVersionIsBadVersion) {
         static_cast<char>((newer >> (8 * i)) & 0xFF);
   }
   EXPECT_EQ(restore_error(write_variant("newer.ckpt", bad)),
+            ckpt::CkptError::Code::kBadVersion);
+}
+
+TEST_F(CkptRejection, PreV6ArchiveIsBadVersion) {
+  // v5 archives carried execution-strategy fields in the meta section;
+  // they are refused up front, before any replay starts.
+  std::vector<char> old = bytes_;
+  const std::uint32_t v5 = 5;
+  for (int i = 0; i < 4; ++i) {
+    old[8 + static_cast<std::size_t>(i)] =
+        static_cast<char>((v5 >> (8 * i)) & 0xFF);
+  }
+  EXPECT_EQ(restore_error(write_variant("v5.ckpt", old)),
             ckpt::CkptError::Code::kBadVersion);
 }
 

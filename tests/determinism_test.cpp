@@ -2,9 +2,10 @@
 // (workload, config, seed) triple must reproduce bit-identically, run
 // after run and thread after thread — that is exactly the property that
 // makes the run-level parallelism in src/exec safe. Part (a) runs every
-// registry workload repeatedly with the same seed and diffs every
-// reported metric; part (b) runs the same sweep grid serially and with
-// --jobs 4 and requires byte-identical CSV.
+// registry workload repeatedly with the same seed — clean, G-line-faulted
+// and mesh-faulted — and diffs every reported metric; part (b) runs the
+// same sweep grid serially and with --jobs 4 and requires byte-identical
+// CSV.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,9 +20,9 @@
 #include "ckpt/manifest.hpp"
 #include "exec/parallel_for.hpp"
 #include "exec/sweep.hpp"
+#include "harness/report.hpp"
 #include "harness/runner.hpp"
 #include "result_diff.hpp"
-#include "shard_env.hpp"
 #include "workloads/registry.hpp"
 
 namespace glocks {
@@ -35,9 +36,6 @@ harness::RunResult run_once(const workloads::RegistryEntry& entry,
   harness::RunConfig cfg;
   cfg.policy.highly_contended = kind;
   cfg.seed = seed;
-  cfg.cmp.num_shards = test::env_shards();
-  cfg.cmp.shard_window = test::env_shard_window();
-  cfg.cmp.shard_map = test::env_shard_map();
   return harness::run_workload(*wl, cfg);
 }
 
@@ -57,6 +55,10 @@ TEST_P(EveryWorkload, RepeatedRunsAreBitIdentical) {
   for (const auto& r : repeats) {
     const std::string diff = test::diff_results(serial, r);
     EXPECT_EQ(diff, "") << entry.name << ": " << diff;
+    // The human-readable report is derived from the result, but byte
+    // equality there also covers the float formatting paths.
+    EXPECT_EQ(harness::summary_text(serial), harness::summary_text(r))
+        << entry.name;
   }
 }
 
@@ -85,9 +87,6 @@ harness::RunResult run_faulted(const workloads::RegistryEntry& entry,
   harness::RunConfig cfg;
   cfg.policy.highly_contended = locks::LockKind::kGlock;
   cfg.seed = seed;
-  cfg.cmp.num_shards = test::env_shards();
-  cfg.cmp.shard_window = test::env_shard_window();
-  cfg.cmp.shard_map = test::env_shard_map();
   cfg.cmp.fault.enabled = true;
   cfg.cmp.fault.seed = seed * 31 + 5;
   cfg.cmp.fault.drop_rate = 1e-3;
@@ -107,6 +106,33 @@ TEST_P(EveryWorkload, FaultedRunsAreBitIdentical) {
     const std::string diff = test::diff_results(serial, r);
     EXPECT_EQ(diff, "") << entry.name << " (faulted): " << diff;
   }
+}
+
+// The mesh fault domain judges every link fate inside Mesh::tick, so ARQ
+// retries, a scripted link death, detoured forwards and the e2e watchdog
+// ledger must all replay bit-identically too.
+harness::RunResult run_mesh_faulted(const workloads::RegistryEntry& entry,
+                                    std::uint64_t seed) {
+  auto wl = entry.make(0.25);
+  harness::RunConfig cfg;
+  cfg.policy.highly_contended = locks::LockKind::kGlock;
+  cfg.seed = seed;
+  cfg.cmp.fault.seed = seed * 47 + 9;
+  auto& m = cfg.cmp.fault.mesh;
+  m.enabled = true;
+  m.drop_rate = 2e-3;
+  m.garble_rate = 1e-3;
+  m.delay_rate = 2e-3;
+  m.kills.push_back(LinkKill{1, 3, 1500});  // tile 1's east link dies
+  return harness::run_workload(*wl, cfg);
+}
+
+TEST_P(EveryWorkload, MeshFaultedRunsAreBitIdentical) {
+  const auto& entry = workloads::registry()[GetParam()];
+  const auto runs = exec::parallel_map<harness::RunResult>(
+      2, 2, [&](std::size_t) { return run_mesh_faulted(entry, 7); });
+  const std::string diff = test::diff_results(runs[0], runs[1]);
+  EXPECT_EQ(diff, "") << entry.name << " (mesh-faulted): " << diff;
 }
 
 exec::SweepSpec small_grid(unsigned jobs) {

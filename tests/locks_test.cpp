@@ -141,7 +141,7 @@ TEST(LockFactory, ParseAndNames) {
   }
 }
 
-TEST(GlockAllocator, EnforcesHardwareBudget) {
+TEST(GlockAllocator, EnforcesTheHardwareBudget) {
   locks::GlockAllocator alloc(2);
   EXPECT_EQ(alloc.allocate(), 0u);
   EXPECT_EQ(alloc.allocate(), 1u);

@@ -13,7 +13,6 @@
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 #include "result_diff.hpp"
-#include "shard_env.hpp"
 #include "workloads/registry.hpp"
 
 namespace glocks {
@@ -78,9 +77,6 @@ TEST(MeshFaultSpec, BadSpecsAreStructuredErrors) {
 harness::RunConfig mesh_cfg(std::uint64_t seed) {
   harness::RunConfig cfg;
   cfg.cmp.num_cores = 8;  // 3x3 mesh, tile 8 router-only
-  cfg.cmp.num_shards = test::env_shards();
-  cfg.cmp.shard_window = test::env_shard_window();
-  cfg.cmp.shard_map = test::env_shard_map();
   cfg.policy.highly_contended = locks::LockKind::kGlock;
   cfg.seed = seed;
   cfg.cmp.fault.seed = seed * 13 + 1;
@@ -199,9 +195,6 @@ TEST(MeshFault, PartitionEscalatesToStructuredError) {
 TEST(MeshFault, FaultsOffCsvBytesUnchanged) {
   harness::RunConfig cfg;
   cfg.cmp.num_cores = 8;
-  cfg.cmp.num_shards = test::env_shards();
-  cfg.cmp.shard_window = test::env_shard_window();
-  cfg.cmp.shard_map = test::env_shard_map();
   cfg.policy.highly_contended = locks::LockKind::kGlock;
   cfg.seed = 1;
   const auto r = run_sctr(cfg);

@@ -22,7 +22,6 @@
 #include "harness/cmp_system.hpp"
 #include "harness/workload.hpp"
 #include "locks/factory.hpp"
-#include "shard_env.hpp"
 #include "sync/barrier.hpp"
 
 namespace glocks {
@@ -95,22 +94,12 @@ struct SoakOutcome {
 /// the whole machine (the checkpoint layer's save path); each archive
 /// lands in `saves`. Serialization is read-only, so the outcome must be
 /// bit-identical to a plain run — the churn test below holds us to that.
-/// `shards` picks the machine's shard count (0 = GLOCKS_SHARDS or 1);
-/// with `shard_churn`, each pause additionally re-shards the live
-/// machine to the next count in the cycle — the re-shard test below
-/// demands that is invisible too.
 SoakOutcome run_soak(std::uint64_t seed, std::uint32_t cores,
                      const std::vector<Cycle>* churn_at = nullptr,
                      std::vector<std::vector<std::uint8_t>>* saves =
-                         nullptr,
-                     std::uint32_t shards = 0,
-                     const std::vector<std::uint32_t>* shard_churn =
                          nullptr) {
   CmpConfig cfg;
   cfg.num_cores = cores;
-  cfg.num_shards = shards != 0 ? shards : test::env_shards();
-  cfg.shard_window = test::env_shard_window();
-  cfg.shard_map = test::env_shard_map();
   cfg.l1.size_bytes = 2 * 1024;        // brutal: constant evictions
   cfg.l2.slice_size_bytes = 16 * 1024;
   harness::CmpSystem sys(cfg);
@@ -172,14 +161,10 @@ SoakOutcome run_soak(std::uint64_t seed, std::uint32_t cores,
 
   SoakOutcome out;
   if (churn_at != nullptr) {
-    std::size_t pause_no = 0;
     out.cycles = sys.run(*churn_at, [&](Cycle) {
       ckpt::ArchiveWriter w;
       sys.save_state(w);
       if (saves != nullptr) saves->push_back(w.buffer());
-      if (shard_churn != nullptr && !shard_churn->empty()) {
-        sys.set_shards((*shard_churn)[pause_no++ % shard_churn->size()]);
-      }
     });
   } else {
     out.cycles = sys.run();
@@ -272,11 +257,7 @@ TEST(SoakPool, ConcurrentSoaksMatchSerialBitForBit) {
 TEST(SoakCkptChurn, PeriodicSaveStateIsInvisibleAndByteStable) {
   const std::uint64_t seed = 9;
   const std::uint32_t cores = 12;
-  // Pinned to the serial scan: the slab counters asserted below are
-  // host-physical, and under sharded execution they depend on how
-  // workers interleave on the pool spinlock (the re-shard test below
-  // covers sharded churn with the logical counters only).
-  const SoakOutcome plain = run_soak(seed, cores, nullptr, nullptr, 1);
+  const SoakOutcome plain = run_soak(seed, cores);
 
   std::vector<Cycle> pauses;
   const Cycle every = std::max<Cycle>(plain.cycles / 32, 1);
@@ -286,8 +267,8 @@ TEST(SoakCkptChurn, PeriodicSaveStateIsInvisibleAndByteStable) {
   ASSERT_GE(pauses.size(), 8u) << "run too short to churn meaningfully";
 
   std::vector<std::vector<std::uint8_t>> saves_a, saves_b;
-  const SoakOutcome churn_a = run_soak(seed, cores, &pauses, &saves_a, 1);
-  const SoakOutcome churn_b = run_soak(seed, cores, &pauses, &saves_b, 1);
+  const SoakOutcome churn_a = run_soak(seed, cores, &pauses, &saves_a);
+  const SoakOutcome churn_b = run_soak(seed, cores, &pauses, &saves_b);
 
   expect_clean(churn_a);
   EXPECT_EQ(churn_a.cycles, plain.cycles)
@@ -306,55 +287,6 @@ TEST(SoakCkptChurn, PeriodicSaveStateIsInvisibleAndByteStable) {
     EXPECT_TRUE(saves_a[i] == saves_b[i])
         << "archive at pause " << i << " (cycle " << pauses[i]
         << ") drifted between identical runs";
-  }
-}
-
-// Shard churn: re-sharding the live machine every few dozen cycles —
-// serial to 2 to 4 and back, mid-run, while all three lock fabrics and
-// the barriers are active — must be exactly as invisible as a
-// checkpoint pause. The outcome (cycles, counters, acquires) matches
-// the serial run bit for bit, the machine archives written at each
-// pause are byte-identical across two identically-churned runs, and the
-// message pool's physical growth stays bounded: churn may cost a little
-// slab head-room (worker interleaving changes when slabs grow) but can
-// never leak nodes run over run.
-TEST(SoakShardChurn, MidRunReShardingIsInvisible) {
-  const std::uint64_t seed = 4;
-  const std::uint32_t cores = 16;
-  const SoakOutcome plain = run_soak(seed, cores, nullptr, nullptr, 1);
-
-  std::vector<Cycle> pauses;
-  const Cycle every = std::max<Cycle>(plain.cycles / 24, 1);
-  for (Cycle at = every; at < plain.cycles; at += every) {
-    pauses.push_back(at);
-  }
-  ASSERT_GE(pauses.size(), 8u) << "run too short to churn meaningfully";
-  const std::vector<std::uint32_t> counts = {2, 4, 2, 1, 4};
-
-  std::vector<std::vector<std::uint8_t>> saves_a, saves_b;
-  const SoakOutcome churn_a =
-      run_soak(seed, cores, &pauses, &saves_a, 1, &counts);
-  const SoakOutcome churn_b =
-      run_soak(seed, cores, &pauses, &saves_b, 1, &counts);
-
-  expect_clean(churn_a);
-  EXPECT_EQ(churn_a.cycles, plain.cycles)
-      << "re-sharding changed simulated time";
-  EXPECT_EQ(churn_a.observed, plain.observed);
-  EXPECT_EQ(churn_a.acquires, plain.acquires);
-  EXPECT_EQ(churn_a.cycles, churn_b.cycles);
-  EXPECT_EQ(churn_a.observed, churn_b.observed);
-
-  // Loose physical bound only: one extra doubling beyond the serial
-  // run's slabs is tolerable head-room, unbounded growth is a leak.
-  EXPECT_LE(churn_a.pool_heap_bytes, plain.pool_heap_bytes * 2 + 4096);
-
-  ASSERT_EQ(saves_a.size(), pauses.size());
-  ASSERT_EQ(saves_a.size(), saves_b.size());
-  for (std::size_t i = 0; i < saves_a.size(); ++i) {
-    EXPECT_TRUE(saves_a[i] == saves_b[i])
-        << "archive at pause " << i << " (cycle " << pauses[i]
-        << ") drifted between identically re-sharded runs";
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
@@ -101,23 +103,53 @@ TEST(Report, AllFormatsContainTheHeadlineNumbers) {
   EXPECT_NE(json.str().find("\"census\": ["), std::string::npos);
 }
 
+const std::vector<std::string> kBools = {"csv", "json"};
+const std::vector<std::string> kValues = {"workload", "cores", "scale"};
+
 TEST(Args, ParsesFlagsAndValues) {
   const char* argv[] = {"prog",    "--workload", "SCTR",  "--cores",
                         "16",      "--csv",      "--scale", "0.5"};
-  tools::Args args(8, argv, {"csv", "json"});
+  tools::Args args(8, argv, kBools, kValues);
   EXPECT_EQ(args.get("workload"), "SCTR");
   EXPECT_EQ(args.get_u64("cores", 32), 16u);
   EXPECT_TRUE(args.has("csv"));
   EXPECT_FALSE(args.has("json"));
   EXPECT_DOUBLE_EQ(args.get_double("scale", 1.0), 0.5);
   EXPECT_EQ(args.get("absent", "dflt"), "dflt");
+  EXPECT_EQ(args.get_u64("absent", 7), 7u);
 }
 
 TEST(Args, RejectsMalformedInput) {
-  const char* bad1[] = {"prog", "stray"};
-  EXPECT_THROW(tools::Args(2, bad1, {}), SimError);
-  const char* bad2[] = {"prog", "--needs-value"};
-  EXPECT_THROW(tools::Args(2, bad2, {}), SimError);
+  const char* stray[] = {"prog", "stray"};
+  EXPECT_THROW(tools::Args(2, stray, kBools, kValues), tools::UsageError);
+  const char* no_value[] = {"prog", "--cores"};
+  EXPECT_THROW(tools::Args(2, no_value, kBools, kValues), tools::UsageError);
+}
+
+TEST(Args, RejectsUnknownFlags) {
+  // A flag the tool does not know — a typo, or one that was removed —
+  // is an error, never silently ignored together with its value.
+  const char* unknown[] = {"prog", "--bogus", "3"};
+  EXPECT_THROW(tools::Args(3, unknown, kBools, kValues), tools::UsageError);
+  const char* other_tool[] = {"prog", "--workload", "SCTR", "--jobs", "4"};
+  try {
+    tools::Args(5, other_tool, kBools, kValues);
+    FAIL() << "--jobs was accepted";
+  } catch (const tools::UsageError& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown flag: --jobs");
+  }
+}
+
+TEST(Args, RejectsNonNumericValues) {
+  const char* argv[] = {"prog", "--cores", "abc", "--scale", "0.5x"};
+  const tools::Args args(5, argv, kBools, kValues);
+  EXPECT_THROW(args.get_u64("cores", 32), tools::UsageError);
+  EXPECT_THROW(args.get_double("scale", 1.0), tools::UsageError);
+  EXPECT_THROW(tools::Args::parse_u64("cores", "-1"), tools::UsageError);
+  EXPECT_THROW(tools::Args::parse_u64("cores", ""), tools::UsageError);
+  EXPECT_THROW(tools::Args::parse_u64("seeds", "99999999999999999999999"),
+               tools::UsageError);
+  EXPECT_EQ(tools::Args::parse_u64("seeds", "42"), 42u);
 }
 
 }  // namespace
