@@ -11,8 +11,8 @@
 #                           the sweep-resume manifest from pool threads
 #   soak_test               whole machines running concurrently on pool
 #                           threads (checkpoint churn)
-#   ckpt_test               archive/manifest units
-#   ckpt_equivalence_test   checkpoint/restore round trips (plain,
+#   ckpt_test               archive container and run-spec units
+#   ckpt_equivalence_test   restore by replay and byte comparison (plain,
 #                           G-line-faulted, and mesh-faulted machines)
 #   mesh_fault_test         mesh link faults: ARQ under loss, dead-link
 #                           detours, e2e watchdog escalation

@@ -118,7 +118,8 @@ const std::vector<std::uint8_t>& ArchiveWriter::buffer() const {
   return out_;
 }
 
-void ArchiveWriter::write_file(const std::string& path) const {
+void write_archive_file(const std::string& path,
+                        const std::vector<std::uint8_t>& bytes) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
@@ -126,9 +127,8 @@ void ArchiveWriter::write_file(const std::string& path) const {
       throw CkptError(CkptError::Code::kIo,
                       "cannot open checkpoint file for writing: " + tmp);
     }
-    const auto& buf = buffer();
-    f.write(reinterpret_cast<const char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
+    f.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
     f.flush();
     if (!f) {
       throw CkptError(CkptError::Code::kIo,

@@ -105,16 +105,18 @@ class ArchiveWriter {
   /// called with a section open.
   const std::vector<std::uint8_t>& buffer() const;
 
-  /// Writes buffer() to `path` atomically (temp file + rename), so a
-  /// crash mid-write never leaves a half-written checkpoint behind.
-  void write_file(const std::string& path) const;
-
  private:
   std::vector<std::uint8_t> out_;      ///< header + closed sections
   std::vector<std::uint8_t> payload_;  ///< the open section's payload
   std::uint32_t tag_ = 0;
   bool open_ = false;
 };
+
+/// Writes a complete archive image to `path` atomically (temp file +
+/// rename), so a crash mid-write never leaves a half-written checkpoint
+/// behind.
+void write_archive_file(const std::string& path,
+                        const std::vector<std::uint8_t>& bytes);
 
 /// Encodes one standalone TLV section (tag + length + payload + CRC) —
 /// the unit the sweep manifest appends per completed grid point.

@@ -211,32 +211,21 @@ RunSpec load_run_spec(ArchiveReader& a) {
   return spec;
 }
 
-namespace {
-
-// META = [pause cycle][run spec].
-void write_meta(ArchiveWriter& a, const RunSpec& spec, Cycle cycle) {
+std::vector<std::uint8_t> encode_checkpoint(const RunSpec& spec, Cycle cycle,
+                                            harness::CmpSystem& sys) {
+  // META = [pause cycle][run spec], then the machine sections.
+  ArchiveWriter a;
   a.begin_section(tags::kMeta);
   a.u64(cycle);
   save_run_spec(a, spec);
   a.end_section();
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_checkpoint(const RunSpec& spec, Cycle cycle,
-                                            harness::CmpSystem& sys) {
-  ArchiveWriter a;
-  write_meta(a, spec, cycle);
   sys.save_state(a);
   return a.buffer();
 }
 
 void write_checkpoint(const std::string& path, const RunSpec& spec,
                       Cycle cycle, harness::CmpSystem& sys) {
-  ArchiveWriter a;
-  write_meta(a, spec, cycle);
-  sys.save_state(a);
-  a.write_file(path);
+  write_archive_file(path, encode_checkpoint(spec, cycle, sys));
 }
 
 namespace {
@@ -314,32 +303,36 @@ std::string fourcc(std::uint32_t tag) {
 }
 
 /// Names the first point where the replayed archive differs from the
-/// saved one, in terms a human can act on: byte offset + the section of
-/// the *saved* archive that offset falls in.
+/// saved one, in terms a human can act on: byte offset + the section that
+/// offset falls in, read from whichever archive holds that byte (the
+/// longer one, when the other is a prefix of it).
 std::string divergence_message(const std::vector<std::uint8_t>& saved,
                                const std::vector<std::uint8_t>& replayed) {
   const std::size_t n = std::min(saved.size(), replayed.size());
   std::size_t diff = 0;
   while (diff < n && saved[diff] == replayed[diff]) ++diff;
+  const std::vector<std::uint8_t>& holder =
+      diff < saved.size() ? saved : replayed;
 
-  // Walk the saved archive's frames: 12-byte header, then per section
+  // Walk that archive's frames: 12-byte header, then per section
   // [u32 tag][u64 len][payload][u32 crc], all little-endian.
   std::string section = "header";
   std::size_t pos = 12;
-  while (pos + 12 <= saved.size()) {
+  while (diff >= pos && pos + 12 <= holder.size()) {
     std::uint32_t tag = 0;
     for (int i = 0; i < 4; ++i) {
-      tag |= static_cast<std::uint32_t>(saved[pos + static_cast<std::size_t>(i)])
+      tag |= static_cast<std::uint32_t>(
+                 holder[pos + static_cast<std::size_t>(i)])
              << (8 * i);
     }
     std::uint64_t len = 0;
     for (int i = 0; i < 8; ++i) {
       len |= static_cast<std::uint64_t>(
-                 saved[pos + 4 + static_cast<std::size_t>(i)])
+                 holder[pos + 4 + static_cast<std::size_t>(i)])
              << (8 * i);
     }
     const std::size_t end = pos + 12 + static_cast<std::size_t>(len) + 4;
-    if (diff < end || end > saved.size()) {
+    if (diff < end || end > holder.size()) {
       section = fourcc(tag);
       break;
     }

@@ -13,9 +13,9 @@
 // mismatch is a kStateDivergence error naming the first differing
 // section; a verified restore then runs on to completion and returns a
 // RunResult bit-identical to an uninterrupted run. The machine sections
-// are still real state (component save/load pairs are exercised directly
-// by tests/ckpt_test.cpp); at system level they are the divergence
-// oracle and the forensic record of the paused machine.
+// are save-only: no component can load them back. They are the
+// divergence oracle (also across builds: scripts/check_ckpt_compat.sh)
+// and the forensic record of the paused machine.
 #pragma once
 
 #include <cstdint>

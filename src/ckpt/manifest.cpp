@@ -57,7 +57,7 @@ SweepManifest::SweepManifest(const std::string& path,
     w.str(row);
     w.end_section();
   }
-  w.write_file(path);
+  write_archive_file(path, w.buffer());
   f_ = std::fopen(path.c_str(), "ab");
   if (f_ == nullptr) {
     throw CkptError(CkptError::Code::kIo,

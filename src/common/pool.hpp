@@ -104,9 +104,6 @@ class Pool {
   }
 
   const Stats& stats() const { return stats_; }
-  /// Checkpoint restore only: overwrites the counters wholesale (node
-  /// storage itself is never serialized — pointees are re-acquired).
-  void set_stats(const Stats& s) { stats_ = s; }
   void set_alloc_hook(AllocHook hook) { alloc_hook_ = std::move(hook); }
 
   /// Guards the free list with a spinlock, for a pool shared by several

@@ -61,7 +61,6 @@ class Core final : public sim::Component {
   /// The coroutine resume point is host-side state and is re-established
   /// by deterministic replay (docs/checkpoint_format.md).
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   void resume(Cycle now);

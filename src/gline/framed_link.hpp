@@ -83,7 +83,6 @@ class FramedChannel {
   /// watchdog timers, pending fault events) and the dead flag. Timeout
   /// parameters and fault wiring are construction-time state.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   struct Tx {

@@ -132,22 +132,6 @@ class Wire {
     }
     a.u64(pulses_sent_);
   }
-  void load(ckpt::ArchiveReader& a) {
-    arrivals_.clear();
-    for (std::uint32_t n = a.u32(); n > 0; --n) arrivals_.push_back(a.u64());
-    frames_.clear();
-    for (std::uint32_t n = a.u32(); n > 0; --n) {
-      Frame f;
-      f.at = a.u64();
-      f.sent = a.u64();
-      f.payload = a.u8();
-      f.garbled = a.b();
-      f.garble_event = static_cast<std::int32_t>(a.i64());
-      f.delay_event = static_cast<std::int32_t>(a.i64());
-      frames_.push_back(f);
-    }
-    pulses_sent_ = a.u64();
-  }
 
   bool is_gline() const { return !is_local_; }
   std::uint64_t pulses_sent() const { return pulses_sent_; }
@@ -175,20 +159,13 @@ struct GlineStats {
   std::uint64_t secondary_passes = 0;  ///< completed row scheduling passes
 };
 
-/// Checkpoint codec for the counters.
+/// Checkpoint encoding of the counters.
 inline void save_gline_stats(ckpt::ArchiveWriter& a, const GlineStats& s) {
   a.u64(s.signals);
   a.u64(s.local_flags);
   a.u64(s.acquires_granted);
   a.u64(s.releases);
   a.u64(s.secondary_passes);
-}
-inline void load_gline_stats(ckpt::ArchiveReader& a, GlineStats& s) {
-  s.signals = a.u64();
-  s.local_flags = a.u64();
-  s.acquires_granted = a.u64();
-  s.releases = a.u64();
-  s.secondary_passes = a.u64();
 }
 
 }  // namespace glocks::gline

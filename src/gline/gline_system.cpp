@@ -193,27 +193,4 @@ void GlineSystem::save(ckpt::ArchiveWriter& a) const {
   }
 }
 
-void GlineSystem::load(ckpt::ArchiveReader& a) {
-  GLOCKS_CHECK(a.b() == hierarchical_,
-               "checkpoint G-line topology flavour mismatch");
-  GLOCKS_CHECK(a.b() == guarded(),
-               "checkpoint G-line transport flavour mismatch");
-  GLOCKS_CHECK(a.u32() == num_glocks(),
-               "checkpoint GLock count mismatch");
-  if (guarded()) {
-    for (const auto& u : guarded_units_) u->load(a);
-  } else if (hierarchical_) {
-    for (const auto& u : hier_units_) u->load(a);
-  } else {
-    for (const auto& u : units_) u->load(a);
-  }
-  GLOCKS_CHECK(a.u32() == num_gbarriers(),
-               "checkpoint GBarrier count mismatch");
-  for (const auto& b : barriers_) b->load(a);
-  if (guarded()) {
-    injector_->load(a);
-    fault::load_glock_health(a, *health_);
-  }
-}
-
 }  // namespace glocks::gline

@@ -318,32 +318,4 @@ void GuardedGlockUnit::save(ckpt::ArchiveWriter& a) const {
   save_gline_stats(a, stats_);
 }
 
-void GuardedGlockUnit::load(ckpt::ArchiveReader& a) {
-  GLOCKS_CHECK(a.u32() == leaves_.size(),
-               "checkpoint guarded leaf count mismatch");
-  for (Leaf& lf : leaves_) {
-    lf.state = static_cast<LcState>(a.u8());
-    lf.ch->load(a);
-  }
-  GLOCKS_CHECK(a.u32() == mgrs_.size(),
-               "checkpoint guarded manager count mismatch");
-  for (Mgr& m : mgrs_) {
-    GLOCKS_CHECK(a.u32() == m.fx.size(),
-                 "checkpoint guarded fx size mismatch");
-    for (std::size_t i = 0; i < m.fx.size(); ++i) m.fx[i] = a.b();
-    const bool has_up = a.b();
-    GLOCKS_CHECK(has_up == (m.up != nullptr),
-                 "checkpoint guarded topology mismatch");
-    if (m.up != nullptr) m.up->load(a);
-    m.has_token = a.b();
-    m.requested = a.b();
-    m.granted = static_cast<int>(a.i64());
-    m.pos = a.u32();
-  }
-  holder_count_ = a.u32();
-  failing_ = a.b();
-  demoted_ = a.b();
-  load_gline_stats(a, stats_);
-}
-
 }  // namespace glocks::gline

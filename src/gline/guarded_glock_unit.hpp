@@ -69,7 +69,6 @@ class GuardedGlockUnit {
   /// Checkpoint: leaf FSMs + channels, manager flags/token state, holder
   /// count, failing/demoted flags, stats.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   enum class LcState : std::uint8_t { kIdle, kWaiting, kHolding };

@@ -218,26 +218,4 @@ void HierGlockUnit::save(ckpt::ArchiveWriter& a) const {
   save_gline_stats(a, stats_);
 }
 
-void HierGlockUnit::load(ckpt::ArchiveReader& a) {
-  GLOCKS_CHECK(a.u32() == lcs_.size(), "checkpoint hier LC count mismatch");
-  for (LocalCtl& lc : lcs_) {
-    lc.state = static_cast<LcState>(a.u8());
-    lc.up.load(a);
-    lc.down.load(a);
-  }
-  GLOCKS_CHECK(a.u32() == nodes_.size(),
-               "checkpoint hier node count mismatch");
-  for (Node& n : nodes_) {
-    GLOCKS_CHECK(a.u32() == n.fx.size(), "checkpoint hier fx size mismatch");
-    for (std::size_t i = 0; i < n.fx.size(); ++i) n.fx[i] = a.b();
-    n.up.load(a);
-    n.down.load(a);
-    n.has_token = a.b();
-    n.requested = a.b();
-    n.granted = static_cast<int>(a.i64());
-    n.pos = a.u32();
-  }
-  load_gline_stats(a, stats_);
-}
-
 }  // namespace glocks::gline

@@ -67,20 +67,6 @@ class ContentionCensus final : public sim::Component {
     }
     a.u64(last_tick_);
   }
-  void load(ckpt::ArchiveReader& a) {
-    GLOCKS_CHECK(a.u32() == histograms_.size(),
-                 "checkpoint census lock count mismatch");
-    for (std::size_t i = 0; i < histograms_.size(); ++i) {
-      Histogram& h = histograms_[i];
-      GLOCKS_CHECK(a.u32() == h.max_bin(),
-                   "checkpoint census histogram shape mismatch");
-      for (std::uint32_t b = 0; b <= h.max_bin(); ++b) {
-        h.set_count(b, a.u64());
-      }
-      cached_[i] = a.u32();
-    }
-    last_tick_ = a.u64();
-  }
 
   /// Total census cycles across all locks (the denominator of eq. 3).
   std::uint64_t total_cycles() const {

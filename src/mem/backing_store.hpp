@@ -70,18 +70,6 @@ class BackingStore {
     }
   }
 
-  void load(ckpt::ArchiveReader& a) {
-    std::lock_guard<std::mutex> g(mu_);
-    lines_.clear();
-    const std::uint64_t n = a.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const Addr line = a.u64();
-      LineData d{};
-      for (Word& w : d) w = a.u64();
-      lines_[line] = d;
-    }
-  }
-
  private:
   mutable std::mutex mu_;
   std::unordered_map<Addr, LineData> lines_;

@@ -233,56 +233,16 @@ void Hierarchy::save(ckpt::ArchiveWriter& a) const {
   a.u64(ps.outstanding);
 }
 
-void Hierarchy::load(ckpt::ArchiveReader& a) {
-  memory_.load(a);
-  for (const auto& l1 : l1s_) l1->load(a);
-  for (const auto& d : dirs_) d->load(a);
-  for (const auto& sb : sbs_) sb->load(a);
-  for (const auto& q : qolbs_) q->load(a);
-  // Written/read last on purpose: reloading the components above (and a
-  // mesh loaded earlier) re-acquires payload nodes, which perturbs the
-  // live logical counters; the archived values overwrite that noise.
-  // Physical counters stay live — they belong to *this* host process's
-  // slabs, not to the checkpointed machine (see save()).
-  CohMsgPool::Stats ps = msg_pool_.stats();
-  ps.acquires = a.u64();
-  ps.outstanding = a.u64();
-  msg_pool_.set_stats(ps);
-}
-
-noc::PayloadCodec Hierarchy::payload_codec() {
-  noc::PayloadCodec codec;
-  codec.save = [](ckpt::ArchiveWriter& a, const noc::Packet& p) {
-    switch (p.kind) {
-      case noc::PayloadKind::kNone:
-        GLOCKS_CHECK(p.payload == nullptr,
-                     "untagged packet payload cannot be checkpointed");
-        break;
-      case noc::PayloadKind::kCohMsg:
-        save_coh_msg(a, *static_cast<const CohMsg*>(p.payload));
-        break;
-    }
-  };
-  codec.load = [this](ckpt::ArchiveReader& a, noc::Packet& p) {
-    switch (p.kind) {
-      case noc::PayloadKind::kNone:
-        p.payload = nullptr;
-        break;
-      case noc::PayloadKind::kCohMsg:
-        // Ownership travels as a raw pointer inside the fabric; the
-        // receiving sink re-adopts it into this pool (the established
-        // mesh convention).
-        p.payload = msg_pool_.acquire(load_coh_msg(a)).release();
-        break;
-    }
-  };
-  codec.drop = [this](noc::Packet& p) {
-    if (p.kind == noc::PayloadKind::kCohMsg && p.payload != nullptr) {
-      msg_pool_.adopt(static_cast<CohMsg*>(p.payload));  // releases
-      p.payload = nullptr;
-    }
-  };
-  return codec;
+void save_payload(ckpt::ArchiveWriter& a, const noc::Packet& p) {
+  switch (p.kind) {
+    case noc::PayloadKind::kNone:
+      GLOCKS_CHECK(p.payload == nullptr,
+                   "untagged packet payload cannot be checkpointed");
+      break;
+    case noc::PayloadKind::kCohMsg:
+      save_coh_msg(a, *static_cast<const CohMsg*>(p.payload));
+      break;
+  }
 }
 
 }  // namespace glocks::mem

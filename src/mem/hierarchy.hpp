@@ -84,14 +84,8 @@ class Hierarchy final : public Transport {
   DirStats total_dir_stats() const;
 
   /// Checkpoint: backing store, every L1/directory/SB/QOLB component,
-  /// and — written last, so a load overwrites any counts perturbed by
-  /// re-acquiring payload nodes — the message-pool counters.
+  /// and the logical message-pool counters.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
-
-  /// The codec the mesh uses to drain/restore pooled packet payloads
-  /// (PayloadKind::kCohMsg pointees live in this hierarchy's pool).
-  noc::PayloadCodec payload_codec();
 
  private:
   void deliver_local(CoreId tile, CohMsgPtr msg, Cycle ready);
@@ -113,5 +107,9 @@ class Hierarchy final : public Transport {
   std::vector<std::unique_ptr<QolbHome>> qolbs_;
   std::vector<QolbStation*> qolb_stations_;
 };
+
+/// The mesh's payload writer (noc::PayloadSaver): PayloadKind::kCohMsg
+/// pointees are coherence messages from a hierarchy's pool.
+void save_payload(ckpt::ArchiveWriter& a, const noc::Packet& p);
 
 }  // namespace glocks::mem

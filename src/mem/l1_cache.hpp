@@ -139,7 +139,6 @@ class L1Cache final : public sim::Component {
   /// the retire callback is host-side state, re-established by replay;
   /// see docs/checkpoint_format.md), writeback buffer, inbox, stats.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   enum class LineState : std::uint8_t { kS, kE, kM };

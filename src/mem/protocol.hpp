@@ -140,9 +140,7 @@ struct CohMsg final {
 using CohMsgPool = common::Pool<CohMsg>;
 using CohMsgPtr = common::PoolPtr<CohMsg>;
 
-/// Portable (pointer-free) checkpoint encoding of one coherence message;
-/// the load side re-homes the value into whatever pool the restoring
-/// machine owns.
+/// Portable (pointer-free) checkpoint encoding of one coherence message.
 inline void save_coh_msg(ckpt::ArchiveWriter& a, const CohMsg& m) {
   a.u8(static_cast<std::uint8_t>(m.type));
   a.u64(m.line);
@@ -151,18 +149,6 @@ inline void save_coh_msg(ckpt::ArchiveWriter& a, const CohMsg& m) {
   a.b(m.exclusive);
   a.u64(m.req_id);
   for (Word w : m.data) a.u64(w);
-}
-
-inline CohMsg load_coh_msg(ckpt::ArchiveReader& a) {
-  CohMsg m;
-  m.type = static_cast<CohType>(a.u8());
-  m.line = a.u64();
-  m.sender = a.u32();
-  m.requester = a.u32();
-  m.exclusive = a.b();
-  m.req_id = a.u64();
-  for (Word& w : m.data) w = a.u64();
-  return m;
 }
 
 }  // namespace glocks::mem

@@ -136,17 +136,6 @@ void save_qolb_station(ckpt::ArchiveWriter& a, const QolbStation& st) {
   a.u64(st.direct_grants_sent);
 }
 
-void load_qolb_station(ckpt::ArchiveReader& a, QolbStation& st) {
-  st.waiting = a.b();
-  st.granted = a.b();
-  st.lock_id = a.u32();
-  st.successor = a.u32();
-  st.holding = a.b();
-  st.pending_home_release = a.b();
-  st.release_done = a.b();
-  st.direct_grants_sent = a.u64();
-}
-
 void QolbHome::save(ckpt::ArchiveWriter& a) const {
   std::vector<std::uint32_t> ids;
   ids.reserve(locks_.size());
@@ -168,30 +157,6 @@ void QolbHome::save(ckpt::ArchiveWriter& a) const {
   a.u64(stats_.cold_grants);
   a.u64(stats_.direct_grants);
   a.u64(stats_.home_releases);
-}
-
-void QolbHome::load(ckpt::ArchiveReader& a) {
-  locks_.clear();
-  const std::uint64_t n = a.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint32_t id = a.u32();
-    LockState st;
-    st.held = a.b();
-    st.tail = a.u32();
-    locks_[id] = st;
-  }
-  inbox_.clear();
-  const std::uint64_t nin = a.u64();
-  for (std::uint64_t i = 0; i < nin; ++i) {
-    Inbox in;
-    in.ready = a.u64();
-    in.msg = transport_.make_msg(load_coh_msg(a));
-    inbox_.push_back(std::move(in));
-  }
-  stats_.enqueues = a.u64();
-  stats_.cold_grants = a.u64();
-  stats_.direct_grants = a.u64();
-  stats_.home_releases = a.u64();
 }
 
 }  // namespace glocks::mem

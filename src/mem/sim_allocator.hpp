@@ -43,7 +43,6 @@ class SimAllocator {
 
   /// Checkpoint: the bump pointer (the layout itself is replay-built).
   void save(ckpt::ArchiveWriter& a) const { a.u64(next_); }
-  void load(ckpt::ArchiveReader& a) { next_ = a.u64(); }
 
  private:
   Addr next_;

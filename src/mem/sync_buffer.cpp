@@ -79,12 +79,6 @@ void save_sb_station(ckpt::ArchiveWriter& a, const SbStation& st) {
   a.u32(st.lock_id);
 }
 
-void load_sb_station(ckpt::ArchiveReader& a, SbStation& st) {
-  st.waiting = a.b();
-  st.granted = a.b();
-  st.lock_id = a.u32();
-}
-
 void SyncBuffer::save(ckpt::ArchiveWriter& a) const {
   std::vector<std::uint32_t> ids;
   ids.reserve(locks_.size());
@@ -108,32 +102,6 @@ void SyncBuffer::save(ckpt::ArchiveWriter& a) const {
   a.u64(stats_.grants);
   a.u64(stats_.releases);
   a.u64(stats_.max_queue);
-}
-
-void SyncBuffer::load(ckpt::ArchiveReader& a) {
-  locks_.clear();
-  const std::uint64_t n = a.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint32_t id = a.u32();
-    LockState st;
-    st.held = a.b();
-    st.owner = a.u32();
-    const std::uint64_t nw = a.u64();
-    for (std::uint64_t j = 0; j < nw; ++j) st.waiters.push_back(a.u32());
-    locks_[id] = std::move(st);
-  }
-  inbox_.clear();
-  const std::uint64_t nin = a.u64();
-  for (std::uint64_t i = 0; i < nin; ++i) {
-    Inbox in;
-    in.ready = a.u64();
-    in.msg = transport_.make_msg(load_coh_msg(a));
-    inbox_.push_back(std::move(in));
-  }
-  stats_.acquires = a.u64();
-  stats_.grants = a.u64();
-  stats_.releases = a.u64();
-  stats_.max_queue = a.u64();
 }
 
 }  // namespace glocks::mem

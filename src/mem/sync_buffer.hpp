@@ -37,10 +37,9 @@ struct SbStation {
   sim::Component* owner = nullptr;
 };
 
-/// Checkpoint codec for the register fields (`owner` is wiring,
+/// Checkpoint encoding of the register fields (`owner` is wiring,
 /// reconstructed by the system builder).
 void save_sb_station(ckpt::ArchiveWriter& a, const SbStation& st);
-void load_sb_station(ckpt::ArchiveReader& a, SbStation& st);
 
 struct SbStats {
   std::uint64_t acquires = 0;
@@ -63,7 +62,6 @@ class SyncBuffer final : public sim::Component {
 
   /// Checkpoint: lock table (sorted by lock id), inbox, stats.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   struct LockState {

@@ -62,9 +62,9 @@ class MeshFaultDomain final : public LinkFaultModel {
   std::string debug_dump() const;
 
   /// Checkpoint: injector (ledger + stats), dead-link set, scripted-kill
-  /// progress, and every guard. Detour tables are recomputed on load.
+  /// progress, and every guard. Detour tables derive from the dead-link
+  /// set and are not saved.
   void save(ckpt::ArchiveWriter& a) const;
-  void load(ckpt::ArchiveReader& a);
 
  private:
   /// One directed router-to-router link (tile -> neighbor through dir).

@@ -121,9 +121,8 @@ class Mesh final : public sim::Component {
   /// counter, NIC outboxes, every router's queues, and the active
   /// express flights (kept virtual — saving must not perturb the
   /// continuing run, so flights are written as their analytic
-  /// trajectories, payloads drained to portable form via `codec`).
-  void save(ckpt::ArchiveWriter& a, const PayloadCodec& codec) const;
-  void load(ckpt::ArchiveReader& a, const PayloadCodec& codec);
+  /// trajectories, payloads drained to portable form via `save_payload`).
+  void save(ckpt::ArchiveWriter& a, PayloadSaver save_payload) const;
 
  private:
   struct Nic {

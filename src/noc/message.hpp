@@ -71,13 +71,6 @@ class TrafficStats {
     ++hops_[idx(c)];
   }
   void record_injection(MsgClass c) { ++packets_[idx(c)]; }
-  /// Checkpoint restore only: overwrites one class's totals wholesale.
-  void set(MsgClass c, std::uint64_t bytes, std::uint64_t packets,
-           std::uint64_t hops) {
-    bytes_[idx(c)] = bytes;
-    packets_[idx(c)] = packets;
-    hops_[idx(c)] = hops;
-  }
 
   std::uint64_t bytes(MsgClass c) const { return bytes_[idx(c)]; }
   std::uint64_t packets(MsgClass c) const { return packets_[idx(c)]; }

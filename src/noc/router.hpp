@@ -22,7 +22,6 @@
 
 namespace glocks::ckpt {
 class ArchiveWriter;
-class ArchiveReader;
 }  // namespace glocks::ckpt
 
 namespace glocks::noc {
@@ -58,25 +57,16 @@ struct RouterTiming {
   std::uint32_t input_queue_depth = 16;
 };
 
-/// Serializes/deserializes the opaque payload a Packet carries. The NoC
-/// cannot interpret `Packet::payload` itself (the pointee lives in a
-/// typed pool owned by the memory hierarchy), so whoever owns the pools
-/// supplies the codec: `save` drains the pointee to portable bytes,
-/// `load` re-acquires a pool node and installs the pointer. Both are
-/// keyed off the packet's PayloadKind tag.
-struct PayloadCodec {
-  std::function<void(ckpt::ArchiveWriter&, const Packet&)> save;
-  std::function<void(ckpt::ArchiveReader&, Packet&)> load;
-  /// Releases a live payload back to its pool; load() calls this on
-  /// every packet it is about to discard so node accounting stays exact.
-  std::function<void(Packet&)> drop;
-};
+/// Writes the opaque payload a Packet carries, keyed off its PayloadKind
+/// tag. The NoC cannot interpret `Packet::payload` itself (the pointee
+/// lives in a typed pool owned by the memory hierarchy), so the pool's
+/// owner supplies this (mem::save_payload).
+using PayloadSaver = void (*)(ckpt::ArchiveWriter&, const Packet&);
 
 /// Portable packet encoding: every field except the raw payload pointer,
-/// then the payload bytes via the codec.
+/// then the payload bytes via `save_payload`.
 void save_packet(ckpt::ArchiveWriter& a, const Packet& p,
-                 const PayloadCodec& codec);
-Packet load_packet(ckpt::ArchiveReader& a, const PayloadCodec& codec);
+                 PayloadSaver save_payload);
 
 /// Hooks the router consults when the mesh fault domain is enabled
 /// (faults-off runs carry a null pointer and take the exact baseline
@@ -177,9 +167,8 @@ class Router {
 
   /// Serializes queue contents (front-to-back, with ready cycles), the
   /// round-robin pointer, and the occupancy counter. Payload pointees go
-  /// through `codec`; geometry/wiring is reconstructed by the builder.
-  void save(ckpt::ArchiveWriter& a, const PayloadCodec& codec) const;
-  void load(ckpt::ArchiveReader& a, const PayloadCodec& codec);
+  /// through `save_payload`; geometry/wiring is construction-time state.
+  void save(ckpt::ArchiveWriter& a, PayloadSaver save_payload) const;
 
  private:
   struct Timed {

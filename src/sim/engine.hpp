@@ -37,7 +37,6 @@
 
 namespace glocks::ckpt {
 class ArchiveWriter;
-class ArchiveReader;
 }  // namespace glocks::ckpt
 
 namespace glocks::sim {
@@ -159,9 +158,6 @@ class Engine {
   /// sorted), and the perf counters — as one archive-section payload.
   /// Components themselves are not owned here; they save separately.
   void save(ckpt::ArchiveWriter& a) const;
-  /// Inverse of save(); the same components must already be registered
-  /// (load restores scheduling state, not the component roster).
-  void load(ckpt::ArchiveReader& a);
 
  private:
   friend class Component;
@@ -192,8 +188,8 @@ class Engine {
                  Cycle pause_at, const char* phase);
   /// The dormant-component appendix of the hang diagnostic: every
   /// inactive slot with its last tick, last accepted wake, and earliest
-  /// still-pending wake — so a machine that hangs after a restore (or a
-  /// missed-wake bug) names the component that went to sleep forever.
+  /// still-pending wake — so a missed-wake bug names the component that
+  /// went to sleep forever.
   std::string dormancy_report() const;
   [[noreturn]] void throw_hang(Cycle max_cycles, const char* phase) const;
 

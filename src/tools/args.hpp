@@ -56,6 +56,13 @@ class Args {
 
   bool has(const std::string& name) const { return values_.count(name) > 0; }
 
+  /// The names of the flags given, in name order.
+  std::vector<std::string> given() const {
+    std::vector<std::string> names;
+    for (const auto& [name, value] : values_) names.push_back(name);
+    return names;
+  }
+
   std::string get(const std::string& name,
                   const std::string& fallback = "") const {
     const auto it = values_.find(name);

@@ -64,7 +64,7 @@ constexpr const char* kUsage = R"(usage: glocksim --workload NAME [flags]
   --perf               print a simulator-throughput summary to stderr
   --checkpoint-every N write a checkpoint every N cycles (not with
                        --replay or --trace; docs/checkpoint_format.md)
-  --checkpoint-dir D   directory checkpoint files land in      [.]
+  --checkpoint-dir D   where --checkpoint-every writes files   [.]
   --restore FILE       resume the run saved in FILE: replay to the
                        checkpoint cycle, byte-verify, run to completion;
                        the run's spec comes from FILE
@@ -106,10 +106,12 @@ int run(int argc, char** argv) {
   if (args.has("list") || argc == 1) return list_everything();
 
   if (args.has("restore")) {
-    usage_check(!args.has("workload") && !args.has("replay") &&
-                    !args.has("checkpoint-every") && !args.has("trace"),
-                "--restore takes the run's spec from the checkpoint file; "
-                "drop --workload/--replay/--checkpoint-every/--trace");
+    for (const std::string& flag : args.given()) {
+      usage_check(flag == "restore" || flag == "csv" || flag == "json" ||
+                      flag == "perf",
+                  "--restore runs the spec saved in the checkpoint file and "
+                  "takes only --csv, --json and --perf; drop --" + flag);
+    }
     const std::string path = args.get("restore");
     const auto meta = ckpt::read_checkpoint_meta(path);
     const auto result = ckpt::restore_and_run(path);
@@ -127,6 +129,8 @@ int run(int argc, char** argv) {
     return 0;
   }
 
+  usage_check(!args.has("checkpoint-dir") || args.has("checkpoint-every"),
+              "--checkpoint-dir needs --checkpoint-every");
   const std::string name = args.get("workload");
   const std::string replay_file = args.get("replay");
   usage_check(!name.empty() || !replay_file.empty(),

@@ -8,11 +8,14 @@
 // consumed by restoring from it). One workload repeats the whole
 // exercise under an active fault-injection plan, where the guarded
 // G-line ARQ machinery is live state; another under the mesh fault
-// domain. Two checkpoints written in one run must both restore, and two
-// independent runs paused at the same cycle must write the same bytes.
-// Finally: corrupted, version-skewed (newer, or the pre-v6 layout), and
-// mislabeled checkpoint files must fail with the matching structured
-// CkptError — never a crash, never a silently wrong run.
+// domain. Every checkpoint of a run paused several times (cycle 3
+// included) must restore, and two independent runs paused at the same
+// cycle must write the same bytes.
+// Finally: corrupted, version-skewed (newer, or the pre-v6 layout),
+// mislabeled and section-short checkpoint files must fail with the
+// matching structured CkptError — never a crash, never a silently wrong
+// run.
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -133,6 +136,8 @@ std::string read_file(const std::string& path) {
 // the restore verifier replays with a single pause, so nothing
 // serialized may depend on how earlier pauses split the run. The pause
 // cycles are odd so they rarely coincide with a natural wake cycle.
+// Cycle 3 catches the machine with cold caches and its first misses in
+// flight in the mesh.
 TEST(CkptEquivalence, EveryCheckpointOfOneRunRestores) {
   const ckpt::RunSpec spec = base_spec(workloads::registry()[0].name);
   const harness::RunResult r0 = run_plain(spec);
@@ -141,8 +146,9 @@ TEST(CkptEquivalence, EveryCheckpointOfOneRunRestores) {
   const Cycle p2 = (2 * r0.cycles / 3) | 1;
 
   std::vector<std::string> written;
-  ckpt::run_with_checkpoints(spec, {p1, p2}, ::testing::TempDir(), &written);
-  ASSERT_EQ(written.size(), 2u);
+  ckpt::run_with_checkpoints(spec, {3, p1, p2}, ::testing::TempDir(),
+                             &written);
+  ASSERT_EQ(written.size(), 3u);
   for (const std::string& path : written) {
     const harness::RunResult r = ckpt::restore_and_run(path);
     EXPECT_EQ(test::diff_results(r0, r), "") << path;
@@ -263,6 +269,35 @@ TEST_F(CkptRejection, TruncatedFileIsTruncated) {
   bad.resize(bad.size() / 2);
   EXPECT_EQ(restore_error(write_variant("trunc.ckpt", bad)),
             ckpt::CkptError::Code::kTruncated);
+}
+
+TEST_F(CkptRejection, MissingLastSectionIsStateDivergence) {
+  // Drop the final section (HIER). Every remaining frame is intact, so
+  // the file passes the up-front CRC walk; the replayed archive then has
+  // the saved one as a strict prefix, and the report must name the
+  // section the first extra byte belongs to.
+  std::size_t last = 12;  // start of the final section's frame
+  for (std::size_t pos = 12; pos + 12 <= bytes_.size();) {
+    std::uint64_t len = 0;
+    for (int i = 0; i < 8; ++i) {
+      len |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(
+                 bytes_[pos + 4 + static_cast<std::size_t>(i)]))
+             << (8 * i);
+    }
+    last = pos;
+    pos += 12 + static_cast<std::size_t>(len) + 4;
+  }
+  std::vector<char> cut(bytes_.begin(),
+                        bytes_.begin() + static_cast<std::ptrdiff_t>(last));
+  const std::string path = write_variant("no_hier.ckpt", cut);
+  try {
+    ckpt::restore_and_run(path);
+    FAIL() << "restore of a checkpoint without HIER succeeded";
+  } catch (const ckpt::CkptError& e) {
+    EXPECT_EQ(e.code(), ckpt::CkptError::Code::kStateDivergence);
+    EXPECT_NE(std::string(e.what()).find("section HIER"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(CkptRejection, WrongSpecIsStateDivergence) {

@@ -1,20 +1,16 @@
-// Checkpoint archive and component save/load tests.
+// Checkpoint archive and run-spec tests.
 //
 // Layer 1: the TLV container itself — primitive round trips, and the
 // rejection contract: bad magic, version skew, CRC corruption, and
 // truncation are structured CkptErrors, never a crash or a silently
 // wrong read.
 //
-// Layer 2: directed save/load round trips per component family. The
-// pattern throughout: machine A is paused mid-run and serialized;
-// machine B — same configuration, freshly built, never run — loads A's
-// sections and re-serializes. Byte-equal archives prove load consumed
-// and restored exactly what save wrote, for every field of every
-// component (engine wake queue, L1 lines, directory entries, in-flight
-// NoC packets, G-line/ARQ state, census, pool counters).
+// Layer 2: the META section's RunSpec encoding, the one part of a
+// checkpoint that is read back. Machine sections are save-only; the
+// restore path checks them by replay and byte comparison, which
+// tests/ckpt_equivalence_test.cpp covers end to end.
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,9 +18,6 @@
 
 #include "ckpt/archive.hpp"
 #include "ckpt/checkpoint.hpp"
-#include "harness/runner.hpp"
-#include "sim/engine.hpp"
-#include "workloads/registry.hpp"
 
 namespace glocks {
 namespace {
@@ -203,176 +196,6 @@ TEST(Archive, UnreadPayloadRejected) {
 }
 
 // ---------------------------------------------------------------------
-// Engine wake queue.
-
-class Beeper : public sim::Component {
- public:
-  explicit Beeper(Cycle period) : period_(period) {}
-  void tick(Cycle now) override {
-    ++beeps_;
-    sleep_until(now + period_);
-  }
-
- private:
-  Cycle period_;
-  std::uint64_t beeps_ = 0;
-};
-
-TEST(EngineCkpt, WakeQueueRoundTrip) {
-  const auto build_and_save = [](bool run_first) {
-    sim::Engine e;
-    Beeper fast(3), slow(7), slower(11);
-    e.add(fast, "fast");
-    e.add(slow, "slow");
-    e.add(slower, "slower");
-    if (run_first) {
-      e.run_until([&] { return e.now() >= 20; }, 1000);
-    }
-    ArchiveWriter w;
-    w.begin_section(ckpt::tags::kEngine);
-    e.save(w);
-    w.end_section();
-    return w.buffer();
-  };
-
-  const std::vector<std::uint8_t> saved = build_and_save(/*run_first=*/true);
-
-  // A fresh engine (same roster, never run) must absorb the state and
-  // reproduce the identical bytes: clock, active set, per-slot
-  // last-tick/last-wake, the pending wake heap, and the perf counters.
-  sim::Engine e2;
-  Beeper fast(3), slow(7), slower(11);
-  e2.add(fast, "fast");
-  e2.add(slow, "slow");
-  e2.add(slower, "slower");
-  ArchiveReader r(saved);
-  ASSERT_TRUE(r.next_section());
-  e2.load(r);
-  // The event kernel may jump past the done-predicate's threshold to the
-  // next wake, so assert the restored clock reached it, not equality.
-  EXPECT_GE(e2.now(), 20u);
-
-  ArchiveWriter w2;
-  w2.begin_section(ckpt::tags::kEngine);
-  e2.save(w2);
-  w2.end_section();
-  EXPECT_EQ(w2.buffer(), saved);
-}
-
-TEST(EngineCkpt, SlotCountMismatchRejected) {
-  sim::Engine e;
-  Beeper one(2);
-  e.add(one, "one");
-  e.step();
-  ArchiveWriter w;
-  w.begin_section(ckpt::tags::kEngine);
-  e.save(w);
-  w.end_section();
-
-  sim::Engine e2;
-  Beeper a(2), b(3);
-  e2.add(a, "a");
-  e2.add(b, "b");
-  ArchiveReader r(w.buffer());
-  ASSERT_TRUE(r.next_section());
-  EXPECT_THROW(e2.load(r), SimError);
-}
-
-// ---------------------------------------------------------------------
-// Whole-machine round trips: pause machine A mid-run, serialize, load
-// into a never-run machine B with the same shape, re-serialize, compare
-// bytes. A mid-run pause cycle is chosen so the archive carries live L1
-// lines, directory entries and sharers, in-flight NoC packets, pending
-// MSHR-style state, and (for the faulted variant) G-line ARQ frames in
-// flight — the families the issue's checklist names.
-
-/// A CmpSystem with a workload's threads bound, mirroring the runner's
-/// setup, so checkpoint state includes per-thread accounting.
-struct BoundSystem {
-  explicit BoundSystem(const CmpConfig& cfg, const std::string& workload,
-                       double scale, std::uint64_t seed)
-      : sys(cfg), wl(workloads::make_workload(workload, scale)),
-        ctx(std::make_unique<harness::WorkloadContext>(
-            sys, harness::LockPolicy{}, seed)) {
-    wl->setup(*ctx);
-    for (CoreId c = 0; c < sys.num_cores(); ++c) {
-      sys.core(c).bind(c, sys.num_cores(), sys.hierarchy().l1(c),
-                       [this](core::ThreadApi& api) {
-                         return wl->thread_body(api, *ctx);
-                       });
-    }
-  }
-
-  harness::CmpSystem sys;
-  std::unique_ptr<harness::Workload> wl;
-  std::unique_ptr<harness::WorkloadContext> ctx;
-};
-
-std::vector<std::uint8_t> save_bytes(harness::CmpSystem& sys) {
-  ArchiveWriter w;
-  sys.save_state(w);
-  return w.buffer();
-}
-
-void round_trip_system(const CmpConfig& cfg, const std::string& workload,
-                       Cycle pause_cycle) {
-  BoundSystem a(cfg, workload, /*scale=*/0.1, /*seed=*/1);
-  std::vector<std::uint8_t> saved;
-  a.sys.run({pause_cycle},
-            [&](Cycle) { saved = save_bytes(a.sys); });
-  ASSERT_FALSE(saved.empty())
-      << workload << " finished before cycle " << pause_cycle;
-
-  BoundSystem b(cfg, workload, /*scale=*/0.1, /*seed=*/1);
-  ArchiveReader r(saved);
-  b.sys.load_state(r);
-  EXPECT_FALSE(r.next_section());  // load consumed every section
-  EXPECT_EQ(b.sys.engine().now(), pause_cycle);
-  EXPECT_EQ(save_bytes(b.sys), saved)
-      << workload << ": reloaded machine re-serializes differently";
-}
-
-TEST(SystemCkpt, BaselineMachineRoundTrip) {
-  CmpConfig cfg;
-  cfg.num_cores = 8;
-  // Mid-run: locks contended, coherence traffic in flight.
-  round_trip_system(cfg, "SCTR", 4000);
-}
-
-TEST(SystemCkpt, EarlyCycleRoundTrip) {
-  CmpConfig cfg;
-  cfg.num_cores = 4;
-  // Cycle 3: cold caches, first misses in flight in the mesh.
-  round_trip_system(cfg, "MCTR", 3);
-}
-
-TEST(SystemCkpt, GuardedGlineArqRoundTrip) {
-  CmpConfig cfg;
-  cfg.num_cores = 8;
-  cfg.fault.enabled = true;
-  cfg.fault.seed = 11;
-  cfg.fault.drop_rate = 2e-3;   // forces retransmission/ARQ state
-  cfg.fault.garble_rate = 1e-3;
-  cfg.fault.delay_rate = 1e-3;
-  round_trip_system(cfg, "SCTR", 4000);
-}
-
-TEST(SystemCkpt, CoreCountMismatchRejected) {
-  CmpConfig cfg;
-  cfg.num_cores = 4;
-  BoundSystem a(cfg, "SCTR", 0.1, 1);
-  std::vector<std::uint8_t> saved;
-  a.sys.run({100}, [&](Cycle) { saved = save_bytes(a.sys); });
-  ASSERT_FALSE(saved.empty());
-
-  CmpConfig other = cfg;
-  other.num_cores = 8;
-  BoundSystem b(other, "SCTR", 0.1, 1);
-  ArchiveReader r(saved);
-  EXPECT_THROW(b.sys.load_state(r), SimError);
-}
-
-// ---------------------------------------------------------------------
 // RunSpec codec: everything a restore needs survives the round trip and
 // re-encodes to the same bytes (the restore verifier depends on that).
 
@@ -428,7 +251,7 @@ TEST(RunSpecCkpt, MissingMetaSectionRejected) {
   w.end_section();
   const std::string path =
       ::testing::TempDir() + "/ckpt_test_no_meta.ckpt";
-  w.write_file(path);
+  ckpt::write_archive_file(path, w.buffer());
   EXPECT_EQ(error_code([&] { ckpt::read_checkpoint_meta(path); }),
             CkptError::Code::kBadSection);
 }
