@@ -12,10 +12,12 @@
 #   2. every OLD file, restored with `NEW/glocksim --restore --csv`, must
 #      reproduce NEW's uninterrupted CSV exactly.
 #
-# The runs cover a clean machine and one with a `mesh:` fault plan (link
-# ARQ state, a scripted link death and detour routing in the archive).
+# The runs cover a clean machine, one with a `mesh:` fault plan (link
+# ARQ state, a scripted link death and detour routing in the archive) and
+# a 64-core machine, whose GLocks run on the hierarchical G-line network.
 # Only existing flags are used, so OLD may be any revision that writes
-# the same archive version.
+# the same archive version; when the two builds write different versions
+# the script fails up front and names both.
 #
 # Usage: scripts/check_ckpt_compat.sh OLD_BUILD NEW_BUILD
 #   (build directories holding src/tools/glocksim; files land in
@@ -37,8 +39,16 @@ mkdir -p "$WORK"
 RUNS=(
   "clean|--workload SCTR --lock glock --cores 16 --scale 0.25"
   "mesh|--workload MCTR --lock mcs --cores 16 --scale 0.25 --faults mesh:drop=1e-4,mesh:kill=1.e@2000"
+  "hier|--workload SCTR --lock glock --cores 64 --scale 0.25"
 )
 EVERY=1500
+
+# The archive version: the little-endian u32 after the 8-byte magic.
+version() {
+  local b
+  read -r -a b <<< "$(od -An -tu1 -j8 -N4 "$1")"
+  echo $(( b[0] | b[1] << 8 | b[2] << 16 | b[3] << 24 ))
+}
 
 files=0
 for entry in "${RUNS[@]}"; do
@@ -61,6 +71,12 @@ for entry in "${RUNS[@]}"; do
     echo "FAIL: $name: OLD wrote no checkpoint files" >&2; exit 1; }
   [[ "$old_list" == "$new_list" ]] || {
     echo "FAIL: $name: OLD and NEW wrote different checkpoint sets" >&2
+    exit 1; }
+  first=${old_list%%$'\n'*}
+  old_v=$(version "$WORK/$name/old/$first")
+  new_v=$(version "$WORK/$name/new/$first")
+  [[ "$old_v" == "$new_v" ]] || {
+    echo "FAIL: $name: OLD writes v$old_v, NEW writes v$new_v" >&2
     exit 1; }
 
   for f in $old_list; do

@@ -2,15 +2,16 @@
 # ThreadSanitizer gate for the simulator's host parallelism.
 #
 # Each simulated machine runs on one host thread; src/exec fans
-# independent runs out across pool workers (--jobs). This script builds
+# independent runs out across worker threads (--jobs). This script builds
 # the suites that exercise that layer under -DGLOCKS_SANITIZE=thread and
 # runs them once:
 #
-#   exec_pool_test          pool/queue/emitter semantics
-#   determinism_test        parallel sweeps byte-identical to serial, and
-#                           the sweep-resume manifest from pool threads
-#   soak_test               whole machines running concurrently on pool
-#                           threads (checkpoint churn)
+#   exec_pool_test          parallel_for/emitter semantics
+#   determinism_test.*      parallel sweeps byte-identical to serial, and
+#                           the sweep-resume manifest from worker threads
+#                           (one CTest entry per gtest case)
+#   soak_test               whole machines running concurrently on
+#                           worker threads (checkpoint churn)
 #   ckpt_test               archive container and run-spec units
 #   ckpt_equivalence_test   restore by replay and byte comparison (plain,
 #                           G-line-faulted, and mesh-faulted machines)
@@ -31,5 +32,5 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # --timeout: whole-machine suites under TSan on a slow host can exceed
 # ctest's default 1500 s budget.
 ctest --test-dir "$BUILD_DIR" --output-on-failure --timeout 7200 \
-      -R '^(exec_pool_test|determinism_test|soak_test|ckpt_test|ckpt_equivalence_test|mesh_fault_test)$'
+      -R '^(exec_pool_test|determinism_test\..+|soak_test|ckpt_test|ckpt_equivalence_test|mesh_fault_test)$'
 echo "TSan check passed."

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/config.hpp"
+
 namespace glocks::ckpt {
 
 namespace {
@@ -304,6 +306,41 @@ void ArchiveReader::bytes(void* dst, std::size_t len) {
   need(len);
   std::memcpy(dst, data_.data() + pos_, len);
   pos_ += len;
+}
+
+void save_fault_config(ArchiveWriter& a, const FaultConfig& f) {
+  a.b(f.enabled);
+  a.u64(f.seed);
+  a.f64(f.drop_rate);
+  a.f64(f.garble_rate);
+  a.f64(f.delay_rate);
+  a.u32(f.max_delay);
+  a.f64(f.noise_rate);
+  a.f64(f.stuck_rate);
+  a.u64(f.stuck_horizon);
+  a.u64(f.watchdog_timeout);
+  a.u64(f.backoff_cap);
+  a.u32(f.max_retries);
+  a.b(f.fallback_tatas);
+  const MeshFaultConfig& m = f.mesh;
+  a.b(m.enabled);
+  a.f64(m.drop_rate);
+  a.f64(m.garble_rate);
+  a.f64(m.delay_rate);
+  a.u32(m.max_delay);
+  a.f64(m.dead_rate);
+  a.u64(m.dead_horizon);
+  a.u64(m.retry_timeout);
+  a.u64(m.backoff_cap);
+  a.u32(m.max_retries);
+  a.u64(m.e2e_timeout);
+  a.u32(m.e2e_max_retries);
+  a.u32(static_cast<std::uint32_t>(m.kills.size()));
+  for (const LinkKill& k : m.kills) {
+    a.u32(k.tile);
+    a.u32(k.dir);
+    a.u64(k.at);
+  }
 }
 
 }  // namespace glocks::ckpt

@@ -19,20 +19,25 @@
 
 #include "common/check.hpp"
 
+namespace glocks {
+struct FaultConfig;
+}  // namespace glocks
+
 namespace glocks::ckpt {
 
 /// Current archive format version. Bump on any incompatible layout
 /// change; readers reject anything newer than this.
-inline constexpr std::uint32_t kFormatVersion = 6;
+inline constexpr std::uint32_t kFormatVersion = 7;
 
-/// Oldest version this build still reads. v6 dropped the execution-
-/// strategy fields v4/v5 carried for running one machine on several host
-/// threads (a thread count, window length and tile-ownership policy in
-/// the run spec, and the meta section's tile map with its provenance
-/// flag). Older archives would parse into garbage, so they get a clean
+/// Oldest version this build still reads. v7 saves the root of a
+/// hierarchical GLock tree like the flat network's primary manager
+/// (flags, token-home, granted, position; no parent wires, no constant
+/// token/request flags), so the GLIN section of hierarchical runs
+/// changed; v6 had already dropped the execution-strategy fields of
+/// v4/v5. Older archives would parse into garbage, so they get a clean
 /// up-front rejection instead of a confusing mid-parse
 /// kTruncated/kBadSection failure.
-inline constexpr std::uint32_t kMinFormatVersion = 6;
+inline constexpr std::uint32_t kMinFormatVersion = 7;
 
 /// 8-byte file magic.
 inline constexpr char kMagic[8] = {'G', 'L', 'K', 'C', 'K', 'P', 'T', '\n'};
@@ -111,6 +116,12 @@ class ArchiveWriter {
   std::uint32_t tag_ = 0;
   bool open_ = false;
 };
+
+/// Writes every FaultConfig field, the mesh fault block and its kill list
+/// in one fixed order. The checkpoint META section and the sweep
+/// manifest's spec signature both embed it, so the two encodings cannot
+/// drift apart.
+void save_fault_config(ArchiveWriter& a, const FaultConfig& f);
 
 /// Writes a complete archive image to `path` atomically (temp file +
 /// rename), so a crash mid-write never leaves a half-written checkpoint

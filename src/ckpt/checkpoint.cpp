@@ -56,38 +56,7 @@ void save_run_spec(ArchiveWriter& a, const RunSpec& spec) {
   a.u64(c.gline.signal_latency);
   a.b(c.gline.hierarchical);
   a.u32(c.gline.max_transmitters_per_line);
-  a.b(c.fault.enabled);
-  a.u64(c.fault.seed);
-  a.f64(c.fault.drop_rate);
-  a.f64(c.fault.garble_rate);
-  a.f64(c.fault.delay_rate);
-  a.u32(c.fault.max_delay);
-  a.f64(c.fault.noise_rate);
-  a.f64(c.fault.stuck_rate);
-  a.u64(c.fault.stuck_horizon);
-  a.u64(c.fault.watchdog_timeout);
-  a.u64(c.fault.backoff_cap);
-  a.u32(c.fault.max_retries);
-  a.b(c.fault.fallback_tatas);
-  const MeshFaultConfig& m = c.fault.mesh;
-  a.b(m.enabled);
-  a.f64(m.drop_rate);
-  a.f64(m.garble_rate);
-  a.f64(m.delay_rate);
-  a.u32(m.max_delay);
-  a.f64(m.dead_rate);
-  a.u64(m.dead_horizon);
-  a.u64(m.retry_timeout);
-  a.u64(m.backoff_cap);
-  a.u32(m.max_retries);
-  a.u64(m.e2e_timeout);
-  a.u32(m.e2e_max_retries);
-  a.u32(static_cast<std::uint32_t>(m.kills.size()));
-  for (const LinkKill& k : m.kills) {
-    a.u32(k.tile);
-    a.u32(k.dir);
-    a.u64(k.at);
-  }
+  save_fault_config(a, c.fault);
   a.u64(c.max_cycles);
   a.u8(static_cast<std::uint8_t>(c.engine_mode));
   a.u64(c.drain_budget);

@@ -16,6 +16,9 @@
 //   - T must be trivially destructible: nodes on the free list hold no
 //     live object, and slabs are dropped without running destructors.
 //
+// A pool belongs to one machine, and one machine runs on one host
+// thread, so the free list takes no lock.
+//
 // Ownership is expressed as PoolPtr<T> — a unique_ptr whose deleter
 // hands the node back to its pool — so all the existing
 // unique_ptr-based protocol plumbing keeps its move-only shape.
@@ -25,7 +28,6 @@
 // tests/msg_pool_test.cpp count every real heap trip.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -95,7 +97,6 @@ class Pool {
 
   /// Returns a node to the free list.  Called by PoolDeleter.
   void release(T* p) {
-    SpinGuard g(concurrent_ ? &spin_ : nullptr);
     GLOCKS_CHECK(stats_.outstanding > 0, "pool release without acquire");
     --stats_.outstanding;
     Node* node = reinterpret_cast<Node*>(p);
@@ -106,43 +107,13 @@ class Pool {
   const Stats& stats() const { return stats_; }
   void set_alloc_hook(AllocHook hook) { alloc_hook_ = std::move(hook); }
 
-  /// Guards the free list with a spinlock, for a pool shared by several
-  /// host threads. Off (the default, and the only mode the simulator
-  /// uses today: one machine runs on one host thread) the hot path stays
-  /// lock-free. Logical counters (acquires, outstanding) are
-  /// deterministic either way; the physical slab counters
-  /// (heap_allocs/heap_bytes/high_water) would depend on thread
-  /// interleaving, which is one reason checkpoints only serialize the
-  /// logical pair (see mem::Hierarchy::save).
-  void set_concurrent(bool on) { concurrent_ = on; }
-
  private:
   union Node {
     Node* next;
     alignas(T) unsigned char storage[sizeof(T)];
   };
 
-  /// Scoped test-and-set spinlock; no-op when handed nullptr.
-  class SpinGuard {
-   public:
-    explicit SpinGuard(std::atomic_flag* f) : f_(f) {
-      if (f_ != nullptr) {
-        while (f_->test_and_set(std::memory_order_acquire)) {
-        }
-      }
-    }
-    ~SpinGuard() {
-      if (f_ != nullptr) f_->clear(std::memory_order_release);
-    }
-    SpinGuard(const SpinGuard&) = delete;
-    SpinGuard& operator=(const SpinGuard&) = delete;
-
-   private:
-    std::atomic_flag* f_;
-  };
-
   void* raw_node() {
-    SpinGuard g(concurrent_ ? &spin_ : nullptr);
     ++stats_.acquires;
     ++stats_.outstanding;
     if (stats_.outstanding > stats_.high_water) {
@@ -176,8 +147,6 @@ class Pool {
   std::size_t next_slab_nodes_;
   Stats stats_;
   AllocHook alloc_hook_;
-  bool concurrent_ = false;
-  std::atomic_flag spin_ = ATOMIC_FLAG_INIT;
 };
 
 template <typename T>

@@ -2,10 +2,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <exception>
 #include <thread>
 
 namespace glocks::exec {
+
+unsigned default_jobs() {
+  if (const char* env = std::getenv("GLOCKS_JOBS")) {
+    const long v = std::strtol(env, nullptr, 10);
+    if (v >= 1) return static_cast<unsigned>(v);
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
 
 void ParallelFor::operator()(
     std::size_t count, const std::function<void(std::size_t)>& body) const {

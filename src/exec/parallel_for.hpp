@@ -1,15 +1,23 @@
-// Index-space fan-out on top of raw threads: run body(0..count-1) with at
-// most `jobs` in flight, results addressed by index so output order never
-// depends on completion order.
+// Run-level parallelism: fan *independent* simulations out across OS
+// threads. Each simulated run owns its whole machine (Engine, CmpSystem,
+// Tracer), so nothing is shared between jobs and per-run determinism is
+// untouched; see the "Determinism contract" section of
+// docs/simulation_model.md. body(0..count-1) runs with at most `jobs` in
+// flight (capping concurrency instead of one thread per grid point avoids
+// the oversubscription collapse described in Dice & Kogan, "Avoiding
+// Scalability Collapse by Restricting Concurrency"), and results are
+// addressed by index so output order never depends on completion order.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <vector>
 
-#include "exec/job_pool.hpp"
-
 namespace glocks::exec {
+
+/// The `--jobs` default: the GLOCKS_JOBS environment variable when set
+/// (and >= 1), otherwise std::thread::hardware_concurrency(), never 0.
+unsigned default_jobs();
 
 /// Executes `body(i)` for every i in [0, count) across up to `jobs`
 /// threads. jobs <= 1 runs strictly serially on the calling thread (the

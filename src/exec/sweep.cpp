@@ -55,39 +55,7 @@ std::vector<std::uint8_t> sweep_signature(const SweepSpec& spec) {
   w.u32(static_cast<std::uint32_t>(spec.seeds.size()));
   for (const auto s : spec.seeds) w.u64(s);
   w.f64(spec.scale);
-  const FaultConfig& f = spec.fault;
-  w.b(f.enabled);
-  w.u64(f.seed);
-  w.f64(f.drop_rate);
-  w.f64(f.garble_rate);
-  w.f64(f.delay_rate);
-  w.u32(f.max_delay);
-  w.f64(f.noise_rate);
-  w.f64(f.stuck_rate);
-  w.u64(f.stuck_horizon);
-  w.u64(f.watchdog_timeout);
-  w.u64(f.backoff_cap);
-  w.u32(f.max_retries);
-  w.b(f.fallback_tatas);
-  const MeshFaultConfig& m = f.mesh;
-  w.b(m.enabled);
-  w.f64(m.drop_rate);
-  w.f64(m.garble_rate);
-  w.f64(m.delay_rate);
-  w.u32(m.max_delay);
-  w.f64(m.dead_rate);
-  w.u64(m.dead_horizon);
-  w.u64(m.retry_timeout);
-  w.u64(m.backoff_cap);
-  w.u32(m.max_retries);
-  w.u64(m.e2e_timeout);
-  w.u32(m.e2e_max_retries);
-  w.u32(static_cast<std::uint32_t>(m.kills.size()));
-  for (const LinkKill& k : m.kills) {
-    w.u32(k.tile);
-    w.u32(k.dir);
-    w.u64(k.at);
-  }
+  ckpt::save_fault_config(w, spec.fault);
   w.end_section();
   return w.buffer();
 }

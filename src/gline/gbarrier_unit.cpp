@@ -1,7 +1,5 @@
 #include "gline/gbarrier_unit.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace glocks::gline {
@@ -9,27 +7,16 @@ namespace glocks::gline {
 GBarrierUnit::GBarrierUnit(std::uint32_t unit, std::uint32_t num_cores,
                            std::uint32_t mesh_width, Cycle signal_latency,
                            std::vector<glocks::core::BarrierRegisters*> regs)
-    : unit_(unit), regs_(std::move(regs)) {
+    : unit_(unit), regs_(std::move(regs)), lcs_(num_cores, LcState::kIdle) {
   GLOCKS_CHECK(regs_.size() == num_cores, "one register file per core");
-  const std::uint32_t num_rows = (num_cores + mesh_width - 1) / mesh_width;
-  const std::uint32_t r_row = num_rows / 2;
-
-  std::vector<std::uint32_t> s_col(num_rows);
-  for (std::uint32_t r = 0; r < num_rows; ++r) {
-    const std::uint32_t row_size =
-        std::min(mesh_width, num_cores - r * mesh_width);
-    s_col[r] = row_size / 2;
-    const bool local = r == r_row;
-    rows_.emplace_back(signal_latency, local);
-    if (!local) ++num_glines_;
-  }
-  lcs_.reserve(num_cores);
-  for (CoreId c = 0; c < num_cores; ++c) {
-    const std::uint32_t r = c / mesh_width;
-    const bool local = (c % mesh_width) == s_col[r];
-    lcs_.emplace_back(c, signal_latency, local);
-    if (!local) ++num_glines_;
-    rows_[r].members.push_back(c);
+  // The mesh rows under one root, like the flat GLock network.
+  const TokenTree tree = build_token_tree({.num_cores = num_cores,
+                                           .group = mesh_width,
+                                           .colocate_middle = true});
+  num_glines_ = tree.num_glines;
+  links_ = make_links(tree, signal_latency);
+  for (std::size_t r = 0; r + 1 < tree.nodes.size(); ++r) {
+    rows_.push_back(Row{tree.nodes[r].children});
   }
 }
 
@@ -44,41 +31,43 @@ void GBarrierUnit::record_pulse(Wire& w, Cycle now) {
 
 void GBarrierUnit::tick(Cycle now) {
   // Local controllers: consume arrive registers, deliver releases.
-  for (auto& lc : lcs_) {
-    auto& regs = *regs_[lc.core];
-    switch (lc.state) {
+  for (CoreId c = 0; c < lcs_.size(); ++c) {
+    auto& regs = *regs_[c];
+    switch (lcs_[c]) {
       case LcState::kIdle:
         if (regs.arrive[unit_]) {
           regs.arrive[unit_] = false;
-          record_pulse(lc.up, now);
-          lc.state = LcState::kArrived;
+          record_pulse(links_[c].up, now);
+          lcs_[c] = LcState::kArrived;
         }
         break;
       case LcState::kArrived:
-        if (lc.down.poll(now)) {
+        if (links_[c].down.poll(now)) {
           regs.wait[unit_] = false;  // unblocks the core's register spin
           if (regs.owner != nullptr) regs.owner->wake();
-          lc.state = LcState::kIdle;
+          lcs_[c] = LcState::kIdle;
         }
         break;
     }
   }
 
   // Row aggregators: count arrivals, report upward, fan releases out.
-  for (auto& row : rows_) {
+  Link* const row_links = &links_[lcs_.size()];
+  for (std::uint32_t r = 0; r < rows_.size(); ++r) {
+    Row& row = rows_[r];
     for (std::uint32_t m : row.members) {
-      if (lcs_[m].up.poll(now)) ++row.arrived;
+      if (links_[m].up.poll(now)) ++row.arrived;
     }
     GLOCKS_CHECK(row.arrived <= row.members.size(),
                  "barrier row over-subscribed");
     if (!row.reported && row.arrived == row.members.size()) {
-      record_pulse(row.up, now);
+      record_pulse(row_links[r].up, now);
       row.reported = true;
     }
-    if (row.down.poll(now)) {
+    if (row_links[r].down.poll(now)) {
       // Root release: broadcast to every member (multi-drop G-line).
       for (std::uint32_t m : row.members) {
-        record_pulse(lcs_[m].down, now);
+        record_pulse(links_[m].down, now);
       }
       row.arrived = 0;
       row.reported = false;
@@ -86,41 +75,40 @@ void GBarrierUnit::tick(Cycle now) {
   }
 
   // Root: when every row has reported, release all rows at once.
-  for (auto& row : rows_) {
-    if (row.up.poll(now)) ++rows_arrived_;
+  for (std::uint32_t r = 0; r < rows_.size(); ++r) {
+    if (row_links[r].up.poll(now)) ++rows_arrived_;
   }
   if (rows_arrived_ == rows_.size()) {
     rows_arrived_ = 0;
     ++stats_.episodes;
-    for (auto& row : rows_) record_pulse(row.down, now);
+    for (std::uint32_t r = 0; r < rows_.size(); ++r) {
+      record_pulse(row_links[r].down, now);
+    }
   }
 }
 
 bool GBarrierUnit::dormant() const {
-  for (const auto& lc : lcs_) {
-    if (!lc.up.idle() || !lc.down.idle()) return false;
-    if (lc.state == LcState::kIdle && regs_[lc.core]->arrive[unit_]) {
-      return false;
-    }
+  for (const Link& l : links_) {
+    if (!l.up.idle() || !l.down.idle()) return false;
+  }
+  for (CoreId c = 0; c < lcs_.size(); ++c) {
+    if (lcs_[c] == LcState::kIdle && regs_[c]->arrive[unit_]) return false;
   }
   for (const auto& row : rows_) {
-    if (!row.up.idle() || !row.down.idle()) return false;
     if (!row.reported && row.arrived == row.members.size()) return false;
   }
   return rows_arrived_ != rows_.size();
 }
 
 bool GBarrierUnit::idle() const {
-  for (const auto& lc : lcs_) {
-    if (lc.state != LcState::kIdle || !lc.up.idle() || !lc.down.idle()) {
-      return false;
-    }
+  for (const Link& l : links_) {
+    if (!l.up.idle() || !l.down.idle()) return false;
+  }
+  for (const LcState s : lcs_) {
+    if (s != LcState::kIdle) return false;
   }
   for (const auto& row : rows_) {
-    if (row.arrived != 0 || row.reported || !row.up.idle() ||
-        !row.down.idle()) {
-      return false;
-    }
+    if (row.arrived != 0 || row.reported) return false;
   }
   return rows_arrived_ == 0;
 }
@@ -129,17 +117,17 @@ bool GBarrierUnit::idle() const {
 
 void GBarrierUnit::save(ckpt::ArchiveWriter& a) const {
   a.u32(static_cast<std::uint32_t>(lcs_.size()));
-  for (const LocalCtl& lc : lcs_) {
-    a.u8(static_cast<std::uint8_t>(lc.state));
-    lc.up.save(a);
-    lc.down.save(a);
+  for (CoreId c = 0; c < lcs_.size(); ++c) {
+    a.u8(static_cast<std::uint8_t>(lcs_[c]));
+    links_[c].up.save(a);
+    links_[c].down.save(a);
   }
   a.u32(static_cast<std::uint32_t>(rows_.size()));
-  for (const Row& r : rows_) {
-    a.u32(r.arrived);
-    a.b(r.reported);
-    r.up.save(a);
-    r.down.save(a);
+  for (std::uint32_t r = 0; r < rows_.size(); ++r) {
+    a.u32(rows_[r].arrived);
+    a.b(rows_[r].reported);
+    links_[lcs_.size() + r].up.save(a);
+    links_[lcs_.size() + r].down.save(a);
   }
   a.u32(rows_arrived_);
   a.u64(stats_.episodes);

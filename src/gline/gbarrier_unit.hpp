@@ -4,9 +4,10 @@
 // barriers, and a hardware barrier is the natural ablation partner for
 // the software tree barrier.
 //
-// Topology mirrors the GLock network: per-row aggregation at a secondary
-// node, global aggregation at a root node, all over 1-bit G-lines. The
-// protocol is a pure AND-tree:
+// Topology is the flat GLock network's (the same build_token_tree
+// layout): per-row aggregation at a secondary node, global aggregation
+// at a root node, all over 1-bit G-lines. The protocol is a pure
+// AND-tree:
 //
 //   arrive:  core sets its barrier_arrive register; the local controller
 //            pulses its row aggregator; when a row has collected all of
@@ -27,6 +28,7 @@
 #include "common/types.hpp"
 #include "core/thread.hpp"
 #include "gline/gline.hpp"
+#include "gline/token_tree.hpp"
 
 namespace glocks::gline {
 
@@ -62,30 +64,21 @@ class GBarrierUnit {
  private:
   enum class LcState : std::uint8_t { kIdle, kArrived };
 
-  struct LocalCtl {
-    CoreId core;
-    LcState state = LcState::kIdle;
-    Wire up;    ///< arrival pulse towards the row aggregator
-    Wire down;  ///< release pulse back
-    LocalCtl(CoreId c, Cycle lat, bool local)
-        : core(c), up(lat, local), down(lat, local) {}
-  };
-
   struct Row {
-    std::vector<std::uint32_t> members;  ///< indices into lcs_
+    std::vector<std::uint32_t> members;  ///< core ids
     std::uint32_t arrived = 0;
     bool reported = false;  ///< row-complete pulse sent to the root
-    Wire up;
-    Wire down;
-    Row(Cycle lat, bool local) : up(lat, local), down(lat, local) {}
   };
 
   void record_pulse(Wire& w, Cycle now);
 
   std::uint32_t unit_;
   std::vector<glocks::core::BarrierRegisters*> regs_;
-  std::vector<LocalCtl> lcs_;
+  std::vector<LcState> lcs_;  ///< one local controller per core
   std::vector<Row> rows_;
+  /// Per vertex, the cores then the rows: up carries the arrival pulse,
+  /// down the release.
+  std::vector<Link> links_;
   std::uint32_t rows_arrived_ = 0;
   std::uint32_t num_glines_ = 0;
   GBarrierStats stats_;

@@ -134,7 +134,6 @@ class Wire {
   }
 
   bool is_gline() const { return !is_local_; }
-  std::uint64_t pulses_sent() const { return pulses_sent_; }
   bool idle() const { return arrivals_.empty() && frames_.empty(); }
   /// Valid only after attach_fault on a non-local wire.
   std::uint32_t fault_id() const { return fault_id_; }

@@ -12,39 +12,34 @@ GlineSystem::GlineSystem(
     std::vector<glocks::core::BarrierRegisters*> barrier_regs) {
   const std::uint32_t width = cfg.mesh_width();
   hierarchical_ = cfg.gline.hierarchical;
+  const std::uint32_t group =
+      hierarchical_ ? cfg.gline.max_transmitters_per_line : width;
   if (cfg.fault.enabled) {
     // Fault mode: every lock rides the guarded transport so the protocol
     // can detect and survive the injected schedule.
     injector_ = std::make_unique<fault::FaultInjector>(cfg.fault);
     health_ = std::make_unique<fault::GlockHealth>(cfg.gline.num_glocks);
-    const std::uint32_t group =
-        hierarchical_ ? cfg.gline.max_transmitters_per_line : width;
     for (GlockId g = 0; g < cfg.gline.num_glocks; ++g) {
       guarded_units_.push_back(std::make_unique<GuardedGlockUnit>(
           g, cfg.num_cores, group, hierarchical_, cfg.gline.signal_latency,
           cfg.fault, injector_.get(), health_.get(), regs));
     }
-  } else if (hierarchical_) {
-    // Section V scaling path 2: an arbitrary-depth token tree whose
-    // segments never exceed the per-wire transmitter budget.
-    for (GlockId g = 0; g < cfg.gline.num_glocks; ++g) {
-      hier_units_.push_back(std::make_unique<HierGlockUnit>(
-          g, cfg.num_cores, cfg.gline.signal_latency,
-          cfg.gline.max_transmitters_per_line, regs));
-    }
   } else {
     // Baseline G-line technology supports up to seven tiles per dimension
     // (six transmitters + one receiver per line, Section III-F). Larger
     // meshes require the longer-latency G-line variant (scaling path 1)
-    // or the hierarchical network (path 2, gline.hierarchical).
+    // or the hierarchical network (path 2, gline.hierarchical): an
+    // arbitrary-depth token tree whose segments never exceed the
+    // per-wire transmitter budget.
     GLOCKS_CHECK(
-        !cfg.exceeds_flat_gline_reach(),
+        hierarchical_ || !cfg.exceeds_flat_gline_reach(),
         "mesh width " << width << " exceeds the single-cycle G-line "
                       << "reach; raise gline.signal_latency or set "
                       << "gline.hierarchical");
     for (GlockId g = 0; g < cfg.gline.num_glocks; ++g) {
       units_.push_back(std::make_unique<GlockUnit>(
-          g, cfg.num_cores, width, cfg.gline.signal_latency, regs));
+          g, cfg.num_cores, group, cfg.gline.signal_latency, regs,
+          hierarchical_));
     }
   }
   if (!barrier_regs.empty()) {
@@ -57,7 +52,6 @@ GlineSystem::GlineSystem(
 
 void GlineSystem::tick(Cycle now) {
   for (auto& u : units_) u->tick(now);
-  for (auto& u : hier_units_) u->tick(now);
   for (auto& u : guarded_units_) u->tick(now);
   for (auto& b : barriers_) b->tick(now);
   // Fault runs never sleep: the injector's schedule advances with the
@@ -68,9 +62,6 @@ void GlineSystem::tick(Cycle now) {
 
 bool GlineSystem::dormant() const {
   for (const auto& u : units_) {
-    if (!u->dormant()) return false;
-  }
-  for (const auto& u : hier_units_) {
     if (!u->dormant()) return false;
   }
   for (const auto& b : barriers_) {
@@ -89,7 +80,6 @@ GlineStats GlineSystem::total_stats() const {
     total.secondary_passes += s.secondary_passes;
   };
   for (const auto& u : units_) fold(u->stats());
-  for (const auto& u : hier_units_) fold(u->stats());
   for (const auto& u : guarded_units_) fold(u->stats());
   return total;
 }
@@ -106,9 +96,6 @@ GBarrierStats GlineSystem::total_barrier_stats() const {
 
 bool GlineSystem::idle() const {
   for (const auto& u : units_) {
-    if (!u->idle()) return false;
-  }
-  for (const auto& u : hier_units_) {
     if (!u->idle()) return false;
   }
   for (const auto& u : guarded_units_) {
@@ -136,12 +123,6 @@ std::string GlineSystem::debug_dump() const {
     oss << "glock " << g << " holder="
         << (h ? std::to_string(*h) : std::string("none"))
         << (units_[g]->idle() ? " idle" : " active") << "\n";
-  }
-  for (GlockId g = 0; g < hier_units_.size(); ++g) {
-    const auto h = hier_units_[g]->holder();
-    oss << "glock " << g << " holder="
-        << (h ? std::to_string(*h) : std::string("none"))
-        << (hier_units_[g]->idle() ? " idle" : " active") << "\n";
   }
   return oss.str();
 }
@@ -178,13 +159,8 @@ void GlineSystem::save(ckpt::ArchiveWriter& a) const {
   a.b(hierarchical_);
   a.b(guarded());
   a.u32(num_glocks());
-  if (guarded()) {
-    for (const auto& u : guarded_units_) u->save(a);
-  } else if (hierarchical_) {
-    for (const auto& u : hier_units_) u->save(a);
-  } else {
-    for (const auto& u : units_) u->save(a);
-  }
+  for (const auto& u : units_) u->save(a);
+  for (const auto& u : guarded_units_) u->save(a);
   a.u32(num_gbarriers());
   for (const auto& b : barriers_) b->save(a);
   if (guarded()) {

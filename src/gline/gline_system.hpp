@@ -1,5 +1,7 @@
-// The chip's GLocks hardware: one GlockUnit per provisioned lock, plus the
-// analytic cost model of paper Table I.
+// The chip's GLocks hardware: one GlockUnit per provisioned lock — a flat
+// token tree over the mesh rows, or with gline.hierarchical the
+// arbitrary-depth tree of Section V — plus the analytic cost model of
+// paper Table I.
 //
 // With fault injection enabled (cfg.fault.enabled) every lock unit is
 // built as a GuardedGlockUnit on reliable framed channels instead, and the
@@ -20,7 +22,6 @@
 #include "gline/gbarrier_unit.hpp"
 #include "gline/glock_unit.hpp"
 #include "gline/guarded_glock_unit.hpp"
-#include "gline/hier_glock_unit.hpp"
 #include "sim/engine.hpp"
 
 namespace glocks::gline {
@@ -35,24 +36,19 @@ class GlineSystem final : public sim::Component {
               std::vector<glocks::core::BarrierRegisters*> barrier_regs = {});
 
   std::uint32_t num_glocks() const {
-    if (guarded()) return static_cast<std::uint32_t>(guarded_units_.size());
-    return static_cast<std::uint32_t>(
-        hierarchical_ ? hier_units_.size() : units_.size());
+    return static_cast<std::uint32_t>(guarded() ? guarded_units_.size()
+                                                : units_.size());
   }
-  bool hierarchical() const { return hierarchical_; }
   /// True when fault injection rebuilt the lock units on the guarded
   /// transport.
   bool guarded() const { return injector_ != nullptr; }
-  /// Flat-design accessors (only valid when !hierarchical() && !guarded()).
+  /// Baseline accessors (only valid when !guarded()).
   GlockUnit& unit(GlockId g) { return *units_[g]; }
   const GlockUnit& unit(GlockId g) const { return *units_[g]; }
-  HierGlockUnit& hier_unit(GlockId g) { return *hier_units_[g]; }
-  GuardedGlockUnit& guarded_unit(GlockId g) { return *guarded_units_[g]; }
 
   std::uint32_t num_gbarriers() const {
     return static_cast<std::uint32_t>(barriers_.size());
   }
-  GBarrierUnit& barrier_unit(std::uint32_t b) { return *barriers_[b]; }
 
   void tick(Cycle now) override;
 
@@ -67,7 +63,6 @@ class GlineSystem final : public sim::Component {
   /// Health board consulted by the lock factory; null when faults are
   /// disabled.
   fault::GlockHealth* health() { return health_.get(); }
-  fault::FaultInjector* injector() { return injector_.get(); }
 
   /// Closes the fault ledger and returns the reconciled statistics
   /// (injected == detected + tolerated). Disabled runs return a
@@ -88,7 +83,6 @@ class GlineSystem final : public sim::Component {
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<fault::GlockHealth> health_;
   std::vector<std::unique_ptr<GlockUnit>> units_;
-  std::vector<std::unique_ptr<HierGlockUnit>> hier_units_;
   std::vector<std::unique_ptr<GuardedGlockUnit>> guarded_units_;
   std::vector<std::unique_ptr<GBarrierUnit>> barriers_;
 };

@@ -1,8 +1,8 @@
 // Fault-tolerant GLock unit: the token-tree protocol of the baseline
-// units rebuilt on reliable framed channels (framed_link.hpp), plus the
+// unit rebuilt on reliable framed channels (framed_link.hpp), plus the
 // failure path that the paper's fault-free wires never need.
 //
-// Differences from GlockUnit / HierGlockUnit:
+// Differences from GlockUnit:
 //   * REQ/REL/TOKEN are explicit symbols, not flag toggles, so the link
 //     layer may retransmit them idempotently — a lost pulse can no longer
 //     invert a flag's meaning;
@@ -19,7 +19,7 @@
 //     its software fallback lock.
 //
 // The same round-robin pass runs at every level, so FIFO-per-level
-// fairness is preserved exactly as in the baseline units for as long as
+// fairness is preserved exactly as in the baseline unit for as long as
 // the hardware serves grants. Mutual exclusion is asserted structurally:
 // a token acceptance while another leaf holds trips a GLOCKS_CHECK.
 #pragma once
@@ -41,12 +41,13 @@ namespace glocks::gline {
 
 class GuardedGlockUnit {
  public:
-  /// Flat mode (`hierarchical == false`) groups cores by mesh row under a
-  /// single root, mirroring GlockUnit's two-level layout; hierarchical
-  /// mode builds the arbitrary-depth tree of HierGlockUnit with `group`
-  /// children per node. One child channel per node is co-located (free
-  /// wiring), matching the baseline manager placement, so the physical
-  /// G-line count stays C - 1 in flat mode.
+  /// The topology comes from build_token_tree (token_tree.hpp): flat
+  /// mode (`hierarchical == false`) groups cores by mesh row (`group` =
+  /// mesh width) under a single root, and a one-row mesh's row manager
+  /// is the root; hierarchical mode builds the arbitrary-depth tree with
+  /// `group` children per node. One child channel per node is co-located
+  /// (free wiring), so the physical G-line count is C - 1 in both
+  /// modes.
   GuardedGlockUnit(GlockId glock, std::uint32_t num_cores,
                    std::uint32_t group, bool hierarchical,
                    Cycle signal_latency, const FaultConfig& cfg,
@@ -73,29 +74,18 @@ class GuardedGlockUnit {
  private:
   enum class LcState : std::uint8_t { kIdle, kWaiting, kHolding };
 
-  struct Leaf {
-    CoreId core;
-    LcState state = LcState::kIdle;
-    std::unique_ptr<FramedChannel> ch;  ///< to the segment manager
-  };
-
   struct Mgr {
-    bool leaf_level = false;  ///< children index leaves_ vs mgrs_
-    bool is_root = false;
-    std::vector<std::uint32_t> children;
+    std::vector<std::uint32_t> children;  ///< vertex ids (token_tree.hpp)
     std::vector<bool> fx;  ///< request pending (set at REQ, cleared at REL)
-    std::unique_ptr<FramedChannel> up;  ///< to the parent; null at the root
     bool has_token = false;
     bool requested = false;
     int granted = -1;
     std::uint32_t pos = 0;
   };
 
-  FramedChannel& child_channel(Mgr& m, std::uint32_t i);
-  const FramedChannel& child_channel(const Mgr& m, std::uint32_t i) const;
-  void tick_leaf(Leaf& lf, Cycle now);
-  void tick_mgr(Mgr& m, Cycle now);
-  void try_demote(Cycle now);
+  void tick_leaf(CoreId c);
+  void tick_mgr(std::uint32_t idx);
+  void try_demote();
   void flush_registers();
 
   GlockId glock_;
@@ -103,10 +93,11 @@ class GuardedGlockUnit {
   fault::FaultInjector* injector_;
   fault::GlockHealth* health_;
   std::vector<glocks::core::LockRegisters*> regs_;
-  std::vector<Leaf> leaves_;
-  std::vector<Mgr> mgrs_;  ///< level order; root last
-  std::vector<std::uint32_t> leaf_mgr_;   ///< leaf -> owning manager
-  std::vector<std::uint32_t> leaf_slot_;  ///< leaf -> child index there
+  std::vector<LcState> leaves_;  ///< one leaf controller per core
+  std::vector<Mgr> mgrs_;        ///< level order; root last
+  /// Per vertex, the cores then mgrs_: the channel to the parent manager
+  /// (null at the root).
+  std::vector<std::unique_ptr<FramedChannel>> links_;
   std::uint32_t holder_count_ = 0;
   bool failing_ = false;
   bool demoted_ = false;

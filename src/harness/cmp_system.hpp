@@ -60,7 +60,7 @@ class CmpSystem {
             const std::function<void(Cycle)>& on_pause);
 
   /// Serializes the full machine state as one section per subsystem, in
-  /// the fixed order of the v6 archive (docs/checkpoint_format.md). There
+  /// the fixed order of the v7 archive (docs/checkpoint_format.md). There
   /// is no inverse: a restore replays the run and compares these bytes.
   void save_state(ckpt::ArchiveWriter& a);
 

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "ckpt/manifest.hpp"
-#include "exec/job_pool.hpp"
+#include "exec/parallel_for.hpp"
 #include "exec/sweep.hpp"
 #include "fault/fault.hpp"
 #include "tools/args.hpp"

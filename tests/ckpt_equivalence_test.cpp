@@ -11,7 +11,7 @@
 // domain. Every checkpoint of a run paused several times (cycle 3
 // included) must restore, and two independent runs paused at the same
 // cycle must write the same bytes.
-// Finally: corrupted, version-skewed (newer, or the pre-v6 layout),
+// Finally: corrupted, version-skewed (newer, or a pre-v7 layout),
 // mislabeled and section-short checkpoint files must fail with the
 // matching structured CkptError — never a crash, never a silently wrong
 // run.
@@ -251,6 +251,19 @@ TEST_F(CkptRejection, PreV6ArchiveIsBadVersion) {
         static_cast<char>((v5 >> (8 * i)) & 0xFF);
   }
   EXPECT_EQ(restore_error(write_variant("v5.ckpt", old)),
+            ckpt::CkptError::Code::kBadVersion);
+}
+
+TEST_F(CkptRejection, PreV7ArchiveIsBadVersion) {
+  // v6 archives saved the hierarchical GLock root with parent wires and
+  // constant token/request flags; they are refused up front as well.
+  std::vector<char> old = bytes_;
+  const std::uint32_t v6 = 6;
+  for (int i = 0; i < 4; ++i) {
+    old[8 + static_cast<std::size_t>(i)] =
+        static_cast<char>((v6 >> (8 * i)) & 0xFF);
+  }
+  EXPECT_EQ(restore_error(write_variant("v6.ckpt", old)),
             ckpt::CkptError::Code::kBadVersion);
 }
 

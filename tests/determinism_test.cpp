@@ -46,7 +46,7 @@ TEST_P(EveryWorkload, RepeatedRunsAreBitIdentical) {
   const std::uint64_t seed = 3;
 
   const auto serial = run_once(entry, locks::LockKind::kGlock, seed);
-  // Two more runs on concurrent pool threads: agreement with the serial
+  // Two more runs on concurrent worker threads: agreement with the serial
   // baseline shows thread placement leaks nothing into the simulation.
   const auto repeats = exec::parallel_map<harness::RunResult>(
       2, 2, [&](std::size_t) {

@@ -1,6 +1,6 @@
-// Pool semantics for the run-level parallelism subsystem (src/exec):
+// Fan-out semantics for the run-level parallelism subsystem (src/exec):
 // index-ordered results, exception capture/propagation, the jobs=1
-// degenerate case, bounded-queue backpressure, and a stress run with
+// degenerate case, ordered streaming output, and a stress run with
 // hundreds of tiny jobs. Everything here is scheduling-independent so
 // the suite is stable under ThreadSanitizer.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/job_pool.hpp"
 #include "exec/ordered_emitter.hpp"
 #include "exec/parallel_for.hpp"
 
@@ -76,87 +75,6 @@ TEST(ParallelForTest, StressHundredsOfTinyJobs) {
     sum.fetch_add(i, std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), kJobs * (kJobs - 1) / 2);
-}
-
-TEST(JobPoolTest, RunsEverySubmittedJob) {
-  JobPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 300; ++i) {
-    pool.submit([&] { count.fetch_add(1); });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 300);
-}
-
-TEST(JobPoolTest, SingleWorkerDegenerateCase) {
-  JobPool pool(1);
-  EXPECT_EQ(pool.jobs(), 1u);
-  // One worker drains the queue in FIFO order, so the observed sequence
-  // is exactly the submission order.
-  std::vector<int> seen;
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&seen, i] { seen.push_back(i); });
-  }
-  pool.wait();
-  ASSERT_EQ(seen.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(seen[i], i);
-}
-
-TEST(JobPoolTest, WaitRethrowsEarliestSubmittedFailure) {
-  JobPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 40; ++i) {
-    pool.submit([&count, i] {
-      count.fetch_add(1);
-      if (i == 5 || i == 25) {
-        throw std::runtime_error("job " + std::to_string(i) + " failed");
-      }
-    });
-  }
-  try {
-    pool.wait();
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "job 5 failed");
-  }
-  EXPECT_EQ(count.load(), 40) << "a failure must not cancel other jobs";
-}
-
-TEST(JobPoolTest, PoolIsReusableAfterWait) {
-  JobPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&] { count.fetch_add(1); });
-  pool.submit([&] { throw std::runtime_error("first batch"); });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-
-  pool.submit([&] { count.fetch_add(1); });
-  pool.wait();  // second batch is clean: no stale exception resurfaces
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(JobPoolTest, BoundedQueueAppliesBackpressure) {
-  JobPool pool(2, /*queue_capacity=*/4);
-  EXPECT_EQ(pool.queue_capacity(), 4u);
-  // Far more jobs than capacity: submit must block-and-release rather
-  // than drop or deadlock.
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&] { count.fetch_add(1); });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(JobPoolTest, DestructorDrainsOutstandingWork) {
-  std::atomic<int> count{0};
-  {
-    JobPool pool(3);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&] { count.fetch_add(1); });
-    }
-    // No wait(): the destructor must finish the queue before joining.
-  }
-  EXPECT_EQ(count.load(), 64);
 }
 
 TEST(OrderedEmitterTest, OutOfOrderEmitsComeOutInOrder) {

@@ -8,8 +8,11 @@
 
 #include "common/config.hpp"
 #include "core/thread.hpp"
+#include "gline/gbarrier_unit.hpp"
 #include "gline/gline_system.hpp"
 #include "gline/glock_unit.hpp"
+#include "gline/guarded_glock_unit.hpp"
+#include "gline/token_tree.hpp"
 
 namespace glocks::gline {
 namespace {
@@ -219,6 +222,97 @@ TEST(GlineSystem, RejectsOverWideMeshAtUnitLatency) {
   EXPECT_THROW(GlineSystem(cfg, ptrs), SimError);
   cfg.gline.signal_latency = 2;  // the paper's scaling path
   EXPECT_NO_THROW(GlineSystem(cfg, ptrs));
+}
+
+// ---------------------------------------------------------- token tree
+
+TEST(TokenTree, FlatShapeIsMeshRowsUnderOneRoot) {
+  for (const std::uint32_t cores : {9u, 16u, 32u}) {
+    CmpConfig cfg;
+    cfg.num_cores = cores;
+    const std::uint32_t w = cfg.mesh_width();
+    const std::uint32_t rows = cfg.mesh_height();
+    const TokenTree t = build_token_tree(
+        {.num_cores = cores, .group = w, .colocate_middle = true});
+    ASSERT_EQ(t.nodes.size(), rows + 1) << cores << " cores";
+    EXPECT_EQ(t.depth, 2u);
+    EXPECT_EQ(t.num_glines, cores - 1) << "paper Table I";
+    // Row r holds cores r*w.. with its manager on the middle tile.
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      const TreeNode& row = t.nodes[r];
+      for (std::uint32_t i = 0; i < row.children.size(); ++i) {
+        EXPECT_EQ(row.children[i], r * w + i);
+        EXPECT_EQ(row.local[i], i == row.children.size() / 2);
+      }
+    }
+    // One root over every row (vertex cores + r), co-located with the
+    // middle row.
+    const TreeNode& root = t.nodes.back();
+    ASSERT_EQ(root.children.size(), rows);
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      EXPECT_EQ(root.children[r], cores + r);
+      EXPECT_EQ(root.local[r], r == rows / 2);
+    }
+  }
+}
+
+TEST(TokenTree, OneRowMeshKeepsItsRootUnlessCollapsed) {
+  // The baseline unit and the barrier hang a one-row mesh under a
+  // co-located root; the guarded unit makes the row manager the root.
+  const TokenTree kept = build_token_tree(
+      {.num_cores = 2, .group = 2, .colocate_middle = true});
+  EXPECT_EQ(kept.depth, 2u);
+  EXPECT_EQ(kept.nodes.size(), 2u);
+  EXPECT_EQ(kept.num_glines, 1u);
+  const TokenTree collapsed = build_token_tree({.num_cores = 2,
+                                                .group = 2,
+                                                .colocate_middle = true,
+                                                .single_row_is_root = true});
+  EXPECT_EQ(collapsed.depth, 1u);
+  EXPECT_EQ(collapsed.nodes.size(), 1u);
+  EXPECT_EQ(collapsed.num_glines, 1u);
+}
+
+TEST(TokenTree, EveryUnitDeploysTheSameGlineCounts) {
+  // Flat: C - 1 wires for the baseline lock, the guarded lock and the
+  // barrier. Hierarchical: the guarded unit still co-locates one child
+  // per manager (C - 1); the baseline one wires every link
+  // (C + managers - 1).
+  struct Case {
+    std::uint32_t cores;
+    bool hierarchical;
+    std::uint32_t baseline_glines;
+  };
+  for (const Case k : {Case{9, false, 8}, Case{16, false, 15},
+                       Case{32, false, 31}, Case{64, true, 77},
+                       Case{256, true, 309}}) {
+    CmpConfig cfg;
+    cfg.num_cores = k.cores;
+    const std::uint32_t group = k.hierarchical
+                                    ? cfg.gline.max_transmitters_per_line
+                                    : cfg.mesh_width();
+    std::vector<glocks::core::LockRegisters> regs(
+        k.cores, glocks::core::LockRegisters(1));
+    std::vector<glocks::core::LockRegisters*> ptrs;
+    for (auto& r : regs) ptrs.push_back(&r);
+    const GlockUnit base(0, k.cores, group, 1, ptrs, k.hierarchical);
+    EXPECT_EQ(base.num_glines(), k.baseline_glines) << k.cores << " cores";
+
+    fault::FaultInjector injector(cfg.fault);
+    fault::GlockHealth health(1);
+    const GuardedGlockUnit guarded(0, k.cores, group, k.hierarchical, 1,
+                                   cfg.fault, &injector, &health, ptrs);
+    EXPECT_EQ(guarded.num_glines(), k.cores - 1) << k.cores << " cores";
+
+    if (!k.hierarchical) {
+      std::vector<glocks::core::BarrierRegisters> bregs(
+          k.cores, glocks::core::BarrierRegisters(1));
+      std::vector<glocks::core::BarrierRegisters*> bptrs;
+      for (auto& r : bregs) bptrs.push_back(&r);
+      const GBarrierUnit barrier(0, k.cores, group, 1, bptrs);
+      EXPECT_EQ(barrier.num_glines(), k.cores - 1) << k.cores << " cores";
+    }
+  }
 }
 
 TEST(CostModel, MatchesTable1Formulas) {

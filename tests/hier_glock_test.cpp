@@ -1,9 +1,10 @@
-// Tests for the hierarchical GLock network (Section V scaling path 2).
+// Tests for the hierarchical GLock network (Section V scaling path 2):
+// GlockUnit built with the hierarchical token-tree shape.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "gline/hier_glock_unit.hpp"
+#include "gline/glock_unit.hpp"
 #include "harness/runner.hpp"
 #include "workloads/micro.hpp"
 
@@ -12,11 +13,13 @@ namespace {
 
 class HierFixture {
  public:
-  explicit HierFixture(std::uint32_t cores, std::uint32_t reach = 6) {
+  /// `group` is the reach (hierarchical) or the mesh width (flat).
+  explicit HierFixture(std::uint32_t cores, std::uint32_t group = 6,
+                       bool hierarchical = true) {
     for (std::uint32_t c = 0; c < cores; ++c) regs_.emplace_back(1);
     for (auto& r : regs_) ptrs_.push_back(&r);
-    unit_ = std::make_unique<gline::HierGlockUnit>(0, cores, 1, reach,
-                                                   ptrs_);
+    unit_ = std::make_unique<gline::GlockUnit>(0, cores, group, 1, ptrs_,
+                                               hierarchical);
   }
   void request(CoreId c) { regs_[c].req[0] = true; }
   bool waiting(CoreId c) const { return regs_[c].req[0]; }
@@ -36,13 +39,13 @@ class HierFixture {
   Cycle now_ = 0;
   std::vector<core::LockRegisters> regs_;
   std::vector<core::LockRegisters*> ptrs_;
-  std::unique_ptr<gline::HierGlockUnit> unit_;
+  std::unique_ptr<gline::GlockUnit> unit_;
 };
 
 TEST(HierGlock, TreeShapeMatchesReach) {
   // 100 cores, reach 6: 17 segment nodes + 3 group nodes + 1 root.
   HierFixture f(100);
-  EXPECT_EQ(f.unit_->num_nodes(), 21u);
+  EXPECT_EQ(f.unit_->num_secondary_managers() + 1, 21u);
   EXPECT_EQ(f.unit_->depth(), 3u);
   // wires: 100 leaf wires + 17 + 3 (non-root nodes).
   EXPECT_EQ(f.unit_->num_glines(), 120u);
@@ -51,7 +54,32 @@ TEST(HierGlock, TreeShapeMatchesReach) {
 TEST(HierGlock, SmallChipCollapsesToTwoLevels) {
   HierFixture f(9, 3);
   EXPECT_EQ(f.unit_->depth(), 2u);  // 3 segments + root
-  EXPECT_EQ(f.unit_->num_nodes(), 4u);
+  EXPECT_EQ(f.unit_->num_secondary_managers() + 1, 4u);
+  EXPECT_EQ(f.unit_->num_glines(), 12u);  // nothing is co-located
+}
+
+// The one behavioural difference between the two shapes: how the root
+// restarts its pass. Both trees are three groups of three cores with the
+// same signal timing, so only the root policy separates them.
+TEST(HierGlock, RootWrapIsOneCycleSlowerThanTheFlatRoot) {
+  auto wrap_latency = [](bool hierarchical) {
+    HierFixture f(9, 3, hierarchical);
+    f.request(8);
+    f.ticks_to_grant(8);  // the root has granted the last group
+    f.request(0);
+    f.tick(6);  // core 0's REQ reaches the root, which waits on group 2
+    EXPECT_TRUE(f.waiting(0));
+    f.release(8);
+    return f.ticks_to_grant(0);
+  };
+  // LC 8 sends REL; group 2 ends its pass and returns the token; the
+  // flat root scans circularly and sends it on to group 0 in the cycle
+  // it comes home; group 0 grants core 0; LC 0 picks the token up.
+  const int flat = wrap_latency(false);
+  EXPECT_EQ(flat, 5);
+  // The hierarchical root's linear scan runs off the end first, resets
+  // its pass, and grants group 0 exactly one cycle later.
+  EXPECT_EQ(wrap_latency(true), flat + 1);
 }
 
 TEST(HierGlock, GrantLatencyGrowsLogarithmically) {

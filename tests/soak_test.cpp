@@ -5,8 +5,8 @@
 // sums, and full drain. This is the regression net for the protocol
 // races the virtual-channel work surfaced.
 //
-// The runs also execute under exec::JobPool: each soak owns its whole
-// machine, so concurrent runs on pool threads must produce the same
+// The runs also execute under exec::parallel_for: each soak owns its whole
+// machine, so concurrent runs on worker threads must produce the same
 // cycle counts as serial ones — the suite stays meaningful (and small
 // enough to be quick) under ThreadSanitizer.
 #include <gtest/gtest.h>
@@ -18,7 +18,7 @@
 
 #include "ckpt/archive.hpp"
 #include "common/rng.hpp"
-#include "exec/job_pool.hpp"
+#include "exec/parallel_for.hpp"
 #include "harness/cmp_system.hpp"
 #include "harness/workload.hpp"
 #include "locks/factory.hpp"
@@ -77,7 +77,7 @@ struct SoakWorld {
 };
 
 /// Everything one soak run produces; asserted by the caller so the same
-/// soak can run directly or on a job-pool thread.
+/// soak can run directly or on a parallel_for worker thread.
 struct SoakOutcome {
   Cycle cycles = 0;
   int violations = 0;
@@ -217,7 +217,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.cores);
     });
 
-// The job-pool variant: several whole-machine soaks in flight at once.
+// The parallel variant: several whole-machine soaks in flight at once.
 // Config sizes stay small so the test remains quick under TSan, which
 // is where this test earns its keep — it is the only suite driving the
 // full simulator from concurrent threads.
@@ -228,19 +228,15 @@ TEST(SoakPool, ConcurrentSoaksMatchSerialBitForBit) {
   for (const auto& p : grid) serial.push_back(run_soak(p.seed, p.cores));
 
   std::vector<SoakOutcome> pooled(std::size(grid));
-  exec::JobPool pool(4);
-  for (std::size_t i = 0; i < std::size(grid); ++i) {
-    pool.submit([&pooled, &grid, i] {
-      pooled[i] = run_soak(grid[i].seed, grid[i].cores);
-    });
-  }
-  pool.wait();
+  exec::parallel_for(std::size(grid), 4, [&pooled, &grid](std::size_t i) {
+    pooled[i] = run_soak(grid[i].seed, grid[i].cores);
+  });
 
   for (std::size_t i = 0; i < std::size(grid); ++i) {
     expect_clean(pooled[i]);
     EXPECT_EQ(pooled[i].cycles, serial[i].cycles)
         << "seed " << grid[i].seed
-        << ": a pool thread changed simulated time";
+        << ": a worker thread changed simulated time";
     EXPECT_EQ(pooled[i].observed, serial[i].observed);
     EXPECT_EQ(pooled[i].acquires, serial[i].acquires);
   }
