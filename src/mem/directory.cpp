@@ -17,7 +17,7 @@ DirSlice::DirSlice(CoreId tile, std::uint32_t num_cores, const L2Config& cfg,
       memory_(memory),
       engine_(engine),
       num_sets_(cfg.num_sets()),
-      l2_sets_(num_sets_, std::vector<L2Entry>(cfg.ways)),
+      l2_sets_(num_sets_),
       last_done_(num_cores, 0) {}
 
 DirSlice::DirEntry& DirSlice::entry(Addr line) {
@@ -43,17 +43,15 @@ std::uint32_t DirSlice::probe_sharers(Addr line) const {
 }
 
 const LineData* DirSlice::probe_l2_data(Addr line) const {
-  const auto& set = l2_sets_[line % num_sets_];
-  for (const auto& e : set) {
-    if (e.valid && e.line == line) return &e.data;
-  }
-  return nullptr;
+  const L2Entry* e = const_cast<DirSlice*>(this)->l2_find(line);
+  return e == nullptr ? nullptr : &e->data;
 }
 
 DirSlice::L2Entry* DirSlice::l2_find(Addr line) {
-  auto& set = l2_sets_[line % num_sets_];
-  for (auto& e : set) {
-    if (e.valid && e.line == line) return &e;
+  L2Entry* set = l2_set(line);
+  if (set == nullptr) return nullptr;
+  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+    if (set[w].valid && set[w].line == line) return &set[w];
   }
   return nullptr;
 }
@@ -67,8 +65,10 @@ void DirSlice::l2_install(Addr line, const LineData& data, bool dirty,
     return;
   }
   auto& set = l2_sets_[line % num_sets_];
+  if (set == nullptr) set = std::make_unique<L2Entry[]>(cfg_.ways);
   L2Entry* victim = nullptr;
-  for (auto& e : set) {
+  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+    L2Entry& e = set[w];
     if (!e.valid) {
       victim = &e;
       break;
@@ -419,8 +419,12 @@ void DirSlice::tick(Cycle now) {
 
 
 void DirSlice::save(ckpt::ArchiveWriter& a) const {
+  // A set never filled saves as `ways` default (invalid, zero) entries,
+  // the bytes its eagerly-allocated ways would have held.
+  const L2Entry empty{};
   for (const auto& set : l2_sets_) {
-    for (const L2Entry& e : set) {
+    for (std::uint32_t way = 0; way < cfg_.ways; ++way) {
+      const L2Entry& e = set == nullptr ? empty : set[way];
       a.b(e.valid);
       a.u64(e.line);
       for (Word w : e.data) a.u64(w);

@@ -122,6 +122,8 @@ class DirSlice final : public sim::Component {
   };
 
   DirEntry& entry(Addr line);
+  /// The ways of `line`'s set, or null while the set was never filled.
+  L2Entry* l2_set(Addr line) const { return l2_sets_[line % num_sets_].get(); }
   L2Entry* l2_find(Addr line);
   void l2_install(Addr line, const LineData& data, bool dirty, Cycle now);
   /// Returns (latency, data) for reading `line`'s current memory-system
@@ -147,7 +149,10 @@ class DirSlice final : public sim::Component {
   BackingStore& memory_;
   const sim::Engine& engine_;
   std::uint32_t num_sets_;
-  std::vector<std::vector<L2Entry>> l2_sets_;
+  /// The L2 slice, one way array per set, allocated by the set's first
+  /// l2_install: a run touches few sets, and a null set is simply one
+  /// whose ways are all invalid.
+  std::vector<std::unique_ptr<L2Entry[]>> l2_sets_;
   std::unordered_map<Addr, DirEntry> dir_;
   std::unordered_map<Addr, Txn> txns_;
   std::unordered_map<Addr, std::deque<CohMsgPtr>> deferred_;

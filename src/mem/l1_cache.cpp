@@ -15,11 +15,10 @@ L1Cache::L1Cache(CoreId core, const L1Config& cfg, const AddressMap& amap,
       transport_(transport),
       engine_(engine),
       num_sets_(cfg.num_sets()),
-      sets_(num_sets_, std::vector<Entry>(cfg.ways)) {}
+      ways_(std::size_t{num_sets_} * cfg.ways) {}
 
 L1Cache::Entry* L1Cache::find(Addr line) {
-  auto& set = sets_[line % num_sets_];
-  for (auto& e : set) {
+  for (Entry& e : set_of(line)) {
     if (e.valid && e.line == line) return &e;
   }
   return nullptr;
@@ -184,9 +183,8 @@ void L1Cache::complete_with_line(Entry& e, Cycle now) {
 }
 
 L1Cache::Entry& L1Cache::victimize(Addr incoming_line, Cycle now) {
-  auto& set = sets_[incoming_line % num_sets_];
   Entry* victim = nullptr;
-  for (auto& e : set) {
+  for (Entry& e : set_of(incoming_line)) {
     if (!e.valid) return e;
     if (victim == nullptr || e.lru < victim->lru) victim = &e;
   }
@@ -400,14 +398,12 @@ void L1Cache::tick(Cycle now) {
 
 
 void L1Cache::save(ckpt::ArchiveWriter& a) const {
-  for (const auto& set : sets_) {
-    for (const Entry& e : set) {
-      a.b(e.valid);
-      a.u64(e.line);
-      a.u8(static_cast<std::uint8_t>(e.state));
-      for (Word w : e.data) a.u64(w);
-      a.u64(e.lru);
-    }
+  for (const Entry& e : ways_) {
+    a.b(e.valid);
+    a.u64(e.line);
+    a.u8(static_cast<std::uint8_t>(e.state));
+    for (Word w : e.data) a.u64(w);
+    a.u64(e.lru);
   }
   a.b(pending_.has_value());
   if (pending_.has_value()) {

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -182,6 +183,10 @@ class L1Cache final : public sim::Component {
     CohMsgPtr msg;
   };
 
+  /// The ways of `line`'s set.
+  std::span<Entry> set_of(Addr line) {
+    return {ways_.data() + (line % num_sets_) * cfg_.ways, cfg_.ways};
+  }
   Entry* find(Addr line);
   const Entry* find(Addr line) const;
   Entry& victimize(Addr incoming_line, Cycle now);
@@ -205,7 +210,8 @@ class L1Cache final : public sim::Component {
   Transport& transport_;
   const sim::Engine& engine_;
   std::uint32_t num_sets_;
-  std::vector<std::vector<Entry>> sets_;
+  /// Every way of every set, set-major: num_sets_ x cfg_.ways.
+  std::vector<Entry> ways_;
   std::optional<Pending> pending_;
   std::deque<WbEntry> wb_buffer_;
   std::deque<Inbox> inbox_;

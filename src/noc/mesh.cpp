@@ -17,6 +17,8 @@ Mesh::Mesh(std::uint32_t num_tiles, std::uint32_t width, NocConfig cfg)
     : width_(width),
       cfg_(cfg),
       nics_(num_tiles),
+      backlogged_nics_(num_tiles),
+      busy_routers_(num_tiles),
       sinks_(num_tiles),
       tile_seq_(num_tiles, 0) {
   GLOCKS_CHECK(width_ >= 1, "mesh width must be positive");
@@ -24,8 +26,8 @@ Mesh::Mesh(std::uint32_t num_tiles, std::uint32_t width, NocConfig cfg)
                             cfg_.input_queue_depth};
   routers_.reserve(num_tiles);
   for (std::uint32_t t = 0; t < num_tiles; ++t) {
-    routers_.push_back(std::make_unique<Router>(t % width_, t / width_,
-                                                width_, timing, stats_));
+    routers_.push_back(std::make_unique<Router>(
+        t % width_, t / width_, width_, timing, stats_, busy_routers_));
   }
   for (std::uint32_t t = 0; t < num_tiles; ++t) {
     const std::uint32_t x = t % width_;
@@ -100,6 +102,7 @@ void Mesh::send(Packet&& p, Cycle now) {
   const bool express = try_express(p, now);
   ++in_flight_;
   if (express) return;  // try_express took ownership and armed the wake
+  backlogged_nics_.insert(p.src);
   auto& nic = nics_[p.src];
   nic.outbox[static_cast<std::size_t>(p.cls)].push_back(std::move(p));
   wake();  // a dormant mesh has new work (no-op when already active)
@@ -414,7 +417,8 @@ void Mesh::tick(Cycle now) {
     GLOCKS_CHECK(now > last_tick_, "mesh ticked out of order");
     // Skipped cycles need no repair: an idle router tick has no
     // architectural effect (the round-robin pointer only moves on
-    // ready-head cycles), so a dormant span folds to nothing.
+    // ready-head cycles), so a dormant span folds to nothing — as does
+    // every idle router left off this tick's walk.
   }
   last_tick_ = now;
   // Fault-domain work precedes arbitration: scripted kills and guard
@@ -425,20 +429,32 @@ void Mesh::tick(Cycle now) {
   if (fault_ != nullptr) fault_->advance(now);
   // NICs drain into routers first so an injection made during cycle N-1
   // (endpoint tick) can enter the router fabric at cycle N. Classes
-  // drain independently into their own virtual channels.
-  for (std::uint32_t t = 0; t < nics_.size(); ++t) {
+  // drain independently into their own virtual channels; a NIC whose
+  // local FIFO is full keeps its place on the list.
+  backlogged_nics_.for_each([&](std::size_t t) {
+    bool drained = true;
     for (auto& outbox : nics_[t].outbox) {
       while (!outbox.empty()) {
         if (!routers_[t]->inject(std::move(outbox.front()), now)) break;
         outbox.pop_front();
       }
+      drained = drained && outbox.empty();
     }
-  }
+    if (drained) backlogged_nics_.erase(t);
+  });
   // Express deliveries eject here, matching the phase where the router
   // loop hands packets to sinks (after the NIC drain, so a send made
   // from inside a sink is injected next cycle on either path).
   deliver_due_express(now);
-  for (auto& r : routers_) r->tick(now);
+  // Occupied routers in tile order. One that gains a packet during the
+  // walk below the cursor (a westward or northward forward) waits for
+  // the next tick, exactly as a loop over every router would treat it;
+  // that packet is not ready before then anyway.
+  busy_routers_.for_each([&](std::size_t t) {
+    Router& r = *routers_[t];
+    r.tick(now);
+    if (r.idle()) busy_routers_.erase(t);
+  });
   // A non-empty fabric may move a packet any cycle (and backpressure
   // resolution has no wake signal), so only an empty one may sleep.
   // Express flights don't count: each carries its own armed wake. With

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/active_set.hpp"
 #include "common/config.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/types.hpp"
@@ -36,7 +37,11 @@ struct ExpressPerf {
 };
 
 /// The whole on-chip data network. One sim::Component: ticking the mesh
-/// ticks every NIC and router in a fixed order.
+/// drains the backlogged NICs, then ticks the occupied routers, each in
+/// ascending tile order. Two worklists name them: a NIC is listed from
+/// its first `send()` until all of its outboxes are empty, a router from
+/// any rise in its occupancy until a tick leaves it idle. A NIC or
+/// router off its list has nothing to do, so skipping it is exact.
 ///
 /// Endpoints send with `send()` (unbounded NIC outbox, so callers never
 /// handle backpressure) and receive through the per-tile sink registered
@@ -179,6 +184,12 @@ class Mesh final : public sim::Component {
   TrafficStats stats_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<Nic> nics_;
+  /// Worklists, by tile: NICs with a non-empty outbox, and routers that
+  /// may hold packets (every occupied router is listed; a listed router
+  /// may be idle until its next tick drops it). Derived state, never
+  /// serialized.
+  common::ActiveSet backlogged_nics_;
+  common::ActiveSet busy_routers_;
   /// The same in-flight-tracking sinks the routers hold; express
   /// delivery ejects through these without touching a router.
   std::vector<Router::Sink> sinks_;

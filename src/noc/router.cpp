@@ -6,15 +6,21 @@
 namespace glocks::noc {
 
 Router::Router(std::uint32_t x, std::uint32_t y, std::uint32_t mesh_w,
-               RouterTiming timing, TrafficStats& stats)
-    : x_(x), y_(y), mesh_w_(mesh_w), timing_(timing), stats_(&stats) {}
+               RouterTiming timing, TrafficStats& stats,
+               common::ActiveSet& busy)
+    : x_(x),
+      y_(y),
+      mesh_w_(mesh_w),
+      timing_(timing),
+      stats_(&stats),
+      busy_(&busy) {}
 
 bool Router::inject(Packet&& p, Cycle now) {
   auto& q = in_[idx(Dir::kLocal)][static_cast<std::size_t>(p.cls)];
   if (q.size() >= timing_.input_queue_depth) return false;
   stats_->record_injection(p.cls);
   q.push_back(Timed{now + 1, std::move(p)});
-  ++occupancy_;
+  occupy();
   return true;
 }
 
@@ -29,7 +35,7 @@ void Router::accept(Dir in, Packet&& p, Cycle ready) {
                "router (" << x_ << "," << y_ << ") port " << idx(in)
                           << " overflow");
   q.push_back(Timed{ready, std::move(p)});
-  ++occupancy_;
+  occupy();
 }
 
 void Router::place(Dir in, MsgClass cls, Packet&& p, Cycle ready) {
@@ -38,12 +44,12 @@ void Router::place(Dir in, MsgClass cls, Packet&& p, Cycle ready) {
                "router (" << x_ << "," << y_ << ") port " << idx(in)
                           << " overflow on express materialization");
   q.push_back(Timed{ready, std::move(p)});
-  ++occupancy_;
+  occupy();
 }
 
 void Router::place_local(Packet&& p, Cycle ready) {
   local_out_.push_back(Timed{ready, std::move(p)});
-  ++occupancy_;
+  occupy();
 }
 
 const Packet& Router::peek_head(Dir in, MsgClass cls) const {
@@ -77,7 +83,7 @@ void Router::forward(Dir out, Packet&& p, Cycle now) {
   stats_->record_hop(p.cls, p.size_bytes);
   if (out == Dir::kLocal) {
     local_out_.push_back(Timed{now + timing_.router_latency, std::move(p)});
-    ++occupancy_;
+    occupy();
     return;
   }
   Router* n = neighbors_[idx(out)];

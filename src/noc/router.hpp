@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "common/active_set.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/types.hpp"
 #include "noc/message.hpp"
@@ -102,9 +103,11 @@ class Router {
  public:
   using Sink = std::function<void(Packet&&)>;
 
-  /// `x`,`y` — mesh coordinates; `mesh_w` — mesh width for XY routing.
+  /// `x`,`y` — mesh coordinates; `mesh_w` — mesh width for XY routing;
+  /// `busy` — the mesh's occupied-router worklist, which every rise in
+  /// this router's occupancy adds its tile to.
   Router(std::uint32_t x, std::uint32_t y, std::uint32_t mesh_w,
-         RouterTiming timing, TrafficStats& stats);
+         RouterTiming timing, TrafficStats& stats, common::ActiveSet& busy);
 
   std::uint32_t x() const { return x_; }
   std::uint32_t y() const { return y_; }
@@ -133,7 +136,8 @@ class Router {
   /// round-robin pointer advances only on cycles where the router had at
   /// least one ready head (an input-FIFO head or pending local delivery
   /// with ready <= now) — an idle tick has no architectural effect at
-  /// all, so skipped or folded cycles are exact.
+  /// all, so the mesh ticks only the routers on its worklist, and skipped
+  /// or folded cycles are exact.
   void tick(Cycle now);
 
   /// Credits one busy-tick's round-robin rotation without ticking. Used
@@ -180,6 +184,11 @@ class Router {
 
   static std::size_t idx(Dir d) { return static_cast<std::size_t>(d); }
   void forward(Dir out, Packet&& p, Cycle now);
+  /// Counts one more resident packet and joins the mesh's worklist.
+  void occupy() {
+    ++occupancy_;
+    busy_->insert(tile());
+  }
 
   std::uint32_t x_, y_, mesh_w_;
   RouterTiming timing_;
@@ -194,6 +203,7 @@ class Router {
   Sink sink_;
   std::uint32_t rr_ = 0;  ///< round-robin start index for input arbitration
   LinkFaultModel* fault_ = nullptr;  ///< mesh fault domain hooks (may be null)
+  common::ActiveSet* busy_;  ///< the mesh's occupied-router worklist
   /// Packets resident in this router (all input FIFOs + local_out_); lets
   /// an idle tick skip the kSlots arbitration scan entirely.
   std::uint32_t occupancy_ = 0;

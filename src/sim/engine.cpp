@@ -30,12 +30,7 @@ void Component::sleep() {
   engine_->deactivate(slot_);
 }
 
-void Engine::deactivate(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  if (!s.active) return;
-  s.active = false;
-  --num_active_;
-}
+void Engine::deactivate(std::uint32_t slot) { active_.erase(slot); }
 
 void Component::sleep_until(Cycle at) {
   sleep();
@@ -47,8 +42,9 @@ void Engine::add(Component& c, std::string_view name) {
                "component registered with two engines");
   c.engine_ = this;
   c.slot_ = static_cast<std::uint32_t>(slots_.size());
-  slots_.push_back(Slot{&c, /*active=*/true});
-  ++num_active_;
+  slots_.push_back(Slot{&c});
+  active_.resize(slots_.size());
+  active_.insert(c.slot_);
   SlotPerf sp;
   sp.name = name.empty() ? ("slot" + std::to_string(c.slot_))
                          : std::string(name);
@@ -60,12 +56,7 @@ void Engine::push_wake(std::uint32_t slot, Cycle at) {
   std::push_heap(wakes_.begin(), wakes_.end(), std::greater<>{});
 }
 
-void Engine::activate(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  if (s.active) return;
-  s.active = true;
-  ++num_active_;
-}
+void Engine::activate(std::uint32_t slot) { active_.insert(slot); }
 
 void Engine::schedule(std::uint32_t slot, Cycle at) {
   if (mode_ != EngineMode::kEventDriven) return;
@@ -98,17 +89,30 @@ void Engine::activate_due() {
   }
 }
 
+void Engine::tick_slot(std::size_t i) {
+  scan_pos_ = i;
+  slots_[i].c->tick(now_);
+  slots_[i].last_tick = now_;
+  ++slot_perf_[i].ticks;
+}
+
 void Engine::step() {
   const bool event = mode_ == EngineMode::kEventDriven;
   if (event) activate_due();
   std::uint64_t executed = 0;
   in_scan_ = true;
-  for (scan_pos_ = 0; scan_pos_ < slots_.size(); ++scan_pos_) {
-    if (event && !slots_[scan_pos_].active) continue;
-    slots_[scan_pos_].c->tick(now_);
-    slots_[scan_pos_].last_tick = now_;
-    ++slot_perf_[scan_pos_].ticks;
-    ++executed;
+  if (event) {
+    // Only the active slots, in slot order. A slot woken during the walk
+    // above the cursor ticks this cycle; one at or below it was bumped
+    // to the next cycle by schedule() — the same visits a check of every
+    // slot in order would make.
+    active_.for_each([&](std::size_t i) {
+      tick_slot(i);
+      ++executed;
+    });
+  } else {
+    for (std::size_t i = 0; i < slots_.size(); ++i) tick_slot(i);
+    executed = slots_.size();
   }
   in_scan_ = false;
   perf_.ticks_executed += executed;
@@ -135,7 +139,7 @@ Cycle Engine::run_loop(const std::function<bool()>& done, Cycle max_cycles,
     if (now_ >= max_cycles) [[unlikely]] {
       throw_hang(max_cycles, phase);
     }
-    if (mode_ == EngineMode::kEventDriven && num_active_ == 0) {
+    if (mode_ == EngineMode::kEventDriven && active_.empty()) {
       // Everyone is dormant: jump straight to the earliest wake (never
       // past it), clamped to the cycle limit so an empty wake queue still
       // lands on the ordinary hang path above, and to the pause point so
@@ -160,8 +164,8 @@ Cycle Engine::run_loop(const std::function<bool()>& done, Cycle max_cycles,
 std::string Engine::dormancy_report() const {
   std::ostringstream oss;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (active_.contains(i)) continue;
     const Slot& s = slots_[i];
-    if (s.active) continue;
     oss << "  " << slot_perf_[i].name << ": dormant";
     if (s.last_tick == kNoCycle) {
       oss << ", never ticked";
@@ -219,7 +223,7 @@ void Engine::save(ckpt::ArchiveWriter& a) const {
   a.u8(static_cast<std::uint8_t>(mode_));
   a.u64(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    a.b(slots_[i].active);
+    a.b(active_.contains(i));
     a.u64(slots_[i].last_tick);
     a.u64(slots_[i].last_wake);
     a.u64(slot_perf_[i].ticks);

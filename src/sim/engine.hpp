@@ -3,7 +3,10 @@
 //
 // All components share one clock. Each cycle the engine ticks the
 // registered components in registration order, which is fixed by the
-// system builder, making runs deterministic.
+// system builder, making runs deterministic. The serial reference
+// (EngineMode::kSerial) ticks every slot every cycle; the event kernel
+// walks a bitset of the active slots in slot order, so a stepped cycle
+// costs one visit per active component, not one check per registered one.
 //
 // Signal timing convention used across modules: state written during
 // cycle N becomes visible to consumers at cycle N+1. Modules realize this
@@ -33,6 +36,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/active_set.hpp"
 #include "common/types.hpp"
 
 namespace glocks::ckpt {
@@ -153,7 +157,7 @@ class Engine {
   const EnginePerf& perf() const { return perf_; }
   const std::vector<SlotPerf>& slot_perf() const { return slot_perf_; }
 
-  /// Serializes the kernel state — clock, per-slot active flags and
+  /// Serializes the kernel state — clock, per-slot active bits and
   /// last-tick/last-wake cycles, the pending-wake queue (canonically
   /// sorted), and the perf counters — as one archive-section payload.
   /// Components themselves are not owned here; they save separately.
@@ -164,7 +168,6 @@ class Engine {
 
   struct Slot {
     Component* c;
-    bool active;
     Cycle last_tick = kNoCycle;  ///< cycle of this slot's latest tick()
     Cycle last_wake = kNoCycle;  ///< latest wake cycle accepted for it
   };
@@ -184,6 +187,8 @@ class Engine {
   void push_wake(std::uint32_t slot, Cycle at);
   void activate(std::uint32_t slot);
   void activate_due();
+  /// Ticks slot `i` at the current cycle, with the scan cursor on it.
+  void tick_slot(std::size_t i);
   Cycle run_loop(const std::function<bool()>& done, Cycle max_cycles,
                  Cycle pause_at, const char* phase);
   /// The dormant-component appendix of the hang diagnostic: every
@@ -197,8 +202,9 @@ class Engine {
   std::vector<Slot> slots_;
   /// Pending wakes; min-heap via std::push_heap/pop_heap.
   std::vector<Wake> wakes_;
-  /// Number of active slots.
-  std::size_t num_active_ = 0;
+  /// The active slots: the only record of which slot is awake. Serial
+  /// mode keeps every bit set (sleep() is a no-op there).
+  common::ActiveSet active_;
   /// Scan cursor: while step() is walking the slots, wakes for the
   /// current cycle targeting a slot at or before the cursor have missed
   /// their tick and are bumped to the next cycle (the serial N -> N+1

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -161,6 +164,113 @@ TEST(EngineEvent, SerialModeIgnoresSleep) {
   e.add(a);
   for (int i = 0; i < 5; ++i) e.step();
   EXPECT_EQ(log.size(), 5u);
+}
+
+// The active-slot scan over more than two 64-bit words of slots. Each
+// Node has an inbox; it logs a tick only when it consumes posted work,
+// so the log is the same under both engine modes exactly when the event
+// kernel ticks every woken slot on the cycle the serial loop would have
+// shown it the work.
+class Node final : public Component {
+ public:
+  using Action = std::function<void(Cycle)>;
+
+  Node(int id, Log& log) : id_(id), log_(log) {}
+  void post() {
+    pending_ = true;
+    wake();
+  }
+  void at(Cycle c, Action a) { script_.emplace(c, std::move(a)); }
+  Cycle probe() const { return next_tick_cycle(); }
+
+  void tick(Cycle now) override {
+    if (pending_) {
+      log_.emplace_back(id_, now);
+      pending_ = false;
+    }
+    const auto [first, last] = script_.equal_range(now);
+    for (auto it = first; it != last; ++it) it->second(now);
+    const auto next = script_.upper_bound(now);
+    if (next == script_.end()) {
+      sleep();
+    } else {
+      sleep_until(next->first);
+    }
+  }
+
+ private:
+  int id_;
+  Log& log_;
+  bool pending_ = false;
+  std::multimap<Cycle, Action> script_;
+};
+
+struct ScanScript {
+  static constexpr int kNodes = 140;  // slots 0..139: three words
+  static constexpr Cycle kCycles = 40;
+
+  explicit ScanScript(EngineMode mode) : e(mode) {
+    for (int i = 0; i < kNodes; ++i) e.add(nodes.emplace_back(i, log));
+    auto post = [this](int to) {
+      return [this, to](Cycle) { nodes[to].post(); };
+    };
+    // Lower into higher slot, same word (3 -> 40) and across the word
+    // boundary (63 -> 64, 60 -> 130 two words up): this cycle.
+    nodes[3].at(5, post(40));
+    nodes[63].at(10, post(64));
+    nodes[60].at(10, post(130));
+    // Higher into lower slot (100 -> 5): next cycle.
+    nodes[100].at(15, post(5));
+    // Slot 7 consumes a post from slot 2 and sleeps; slot 90 posts to it
+    // again in the same cycle: it ticks again on the next one.
+    nodes[2].at(20, post(7));
+    nodes[90].at(20, post(7));
+    // A chain within one cycle: 10 -> 70 -> 135 all tick at 25; 70's
+    // post back down to 20 lands on 26.
+    nodes[10].at(25, post(70));
+    nodes[70].at(25, [this](Cycle) {
+      nodes[135].post();
+      nodes[20].post();
+    });
+    // next_tick_cycle() from inside slot 65's tick at cycle 30.
+    nodes[65].at(30, [this](Cycle) {
+      for (int s : {0, 64, 65, 66, 129}) probes.push_back(nodes[s].probe());
+    });
+    for (Cycle c = 0; c < kCycles; ++c) e.step();
+  }
+
+  Engine e;
+  Log log;
+  std::deque<Node> nodes;  // stable addresses: the engine holds them
+  std::vector<Cycle> probes;
+};
+
+TEST(EngineEvent, ActiveSlotScanTicksWokenSlotsOnTheSerialCycle) {
+  const ScanScript event(EngineMode::kEventDriven);
+  const ScanScript serial(EngineMode::kSerial);
+
+  const Log want = {{40, 5},  {64, 10}, {130, 10}, {5, 16},  {7, 20},
+                    {7, 21},  {70, 25}, {135, 25}, {20, 26}};
+  EXPECT_EQ(event.log, want);
+  EXPECT_EQ(serial.log, want);
+  const std::vector<Cycle> want_probes = {31, 31, 31, 30, 30};
+  EXPECT_EQ(event.probes, want_probes);
+  EXPECT_EQ(serial.probes, want_probes);
+
+  // Serial ticks every slot on every cycle; the event kernel pays only
+  // for the slots it ticks, and counts the rest as skipped.
+  const EnginePerf& s = serial.e.perf();
+  const EnginePerf& ev = event.e.perf();
+  const std::uint64_t slot_cycles = ScanScript::kNodes * ScanScript::kCycles;
+  EXPECT_EQ(s.ticks_executed, slot_cycles);
+  EXPECT_EQ(s.ticks_skipped, 0u);
+  EXPECT_EQ(ev.cycles_stepped, s.cycles_stepped);
+  EXPECT_EQ(ev.ticks_executed + ev.ticks_skipped, slot_cycles);
+  // Cycle 0 ticks all 140 slots; after that only the 9 scripted ticks
+  // and the 9 logged ones run, slot 70's two sharing one tick at 25.
+  EXPECT_EQ(ev.ticks_executed, 140u + 9u + 9u - 1u);
+  EXPECT_EQ(event.e.slot_perf()[7].ticks, 3u);  // cycles 0, 20 and 21
+  EXPECT_EQ(serial.e.slot_perf()[7].ticks, ScanScript::kCycles);
 }
 
 // The headline acceptance property: for every workload in the registry,

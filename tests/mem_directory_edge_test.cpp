@@ -3,6 +3,9 @@
 // recognition, and heavy same-line fan-in.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
+#include "ckpt/archive.hpp"
 #include "mem_test_util.hpp"
 
 namespace glocks {
@@ -142,6 +145,78 @@ TEST(DirectoryEdge, SilentSEvictionToleratedByLaterInvalidate) {
   m.drain();
   EXPECT_EQ(m.load(1, kA), 5u);
   EXPECT_GE(m.hier().total_l1_stats().invalidations_received, 1u);
+}
+
+TEST(DirectoryEdge, L2SetsFillOnFirstUseAndEvictTheLruWay) {
+  // 16 tiles: lines kL0 + k * 1024 (k = 0..5) share L2 set 0 of home
+  // tile 0 (1024 sets, a multiple of the tile count). Each is loaded by
+  // its own core so no L1 eviction adds traffic.
+  MemHarness m(MemHarness::small_config(16));
+  const std::uint32_t sets = m.config().l2.num_sets();
+  ASSERT_EQ(sets, 1024u);
+  ASSERT_EQ(m.config().l2.ways, 4u);
+  const Addr l0 = line_of(kA);
+  auto line = [&](Addr k) { return l0 + k * sets; };
+  auto addr = [&](Addr k) { return line(k) * kLineBytes; };
+  mem::DirSlice& home = m.hier().dir(0);
+
+  // Nothing touched yet: any probe, of any set, finds nothing.
+  EXPECT_EQ(home.probe_l2_data(line(0)), nullptr);
+  EXPECT_EQ(home.probe_l2_data(l0 + 7), nullptr);
+
+  // Line 0 becomes dirty in the L2: core 1 owns it, core 2's read pulls
+  // the copy back into the home.
+  m.store(1, addr(0), 5);
+  m.load(2, addr(0));
+  m.drain();
+  ASSERT_NE(home.probe_l2_data(line(0)), nullptr);
+  EXPECT_EQ((*home.probe_l2_data(line(0)))[0], 5u);
+  EXPECT_EQ(home.probe_l2_data(l0 + 7), nullptr);  // other sets stay empty
+  // Three clean lines fill the set; line 0 is now the LRU way.
+  for (Addr k = 1; k <= 3; ++k) m.load(static_cast<CoreId>(2 + k), addr(k));
+  m.drain();
+  EXPECT_EQ(home.stats().memory_writebacks, 0u);
+
+  // The fifth line evicts dirty line 0: one writeback.
+  m.load(6, addr(4));
+  m.drain();
+  EXPECT_EQ(home.probe_l2_data(line(0)), nullptr);
+  EXPECT_NE(home.probe_l2_data(line(4)), nullptr);
+  EXPECT_EQ(home.stats().memory_writebacks, 1u);
+  // The sixth evicts clean line 1: no writeback.
+  m.load(7, addr(5));
+  m.drain();
+  EXPECT_EQ(home.probe_l2_data(line(1)), nullptr);
+  for (Addr k = 2; k <= 5; ++k) {
+    EXPECT_NE(home.probe_l2_data(line(k)), nullptr) << k;
+  }
+  EXPECT_EQ(home.stats().memory_writebacks, 1u);
+  EXPECT_EQ(m.load(8, addr(0)), 5u);  // the written-back value survives
+}
+
+TEST(DirectoryEdge, FreshSliceSavesEveryL2WayAsAZeroEntry) {
+  // A set that was never filled saves as `ways` default entries: valid,
+  // line, 8 data words, dirty, lru = 1 + 8 + 64 + 1 + 8 = 82 bytes each.
+  MemHarness m;
+  ckpt::ArchiveWriter empty;
+  empty.begin_section(1);
+  empty.end_section();
+  // Everything before the trailing CRC of an empty section is framing.
+  const std::size_t payload_at = empty.buffer().size() - 4;
+
+  ckpt::ArchiveWriter a;
+  a.begin_section(1);
+  m.hier().dir(3).save(a);
+  a.end_section();
+  const auto& buf = a.buffer();
+  const std::size_t l2_bytes =
+      std::size_t{m.config().l2.num_sets()} * m.config().l2.ways * 82;
+  ASSERT_GT(buf.size(), payload_at + l2_bytes);
+  std::size_t nonzero = 0;
+  for (std::size_t i = payload_at; i < payload_at + l2_bytes; ++i) {
+    nonzero += buf[i] != 0;
+  }
+  EXPECT_EQ(nonzero, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -169,6 +170,75 @@ TEST_F(MeshFixture, MaterializedEjectionsDrainInArrivalOrderAcrossClasses) {
   EXPECT_EQ(deliveries_[0][0].cycle, 16u);  // kCoherence, sent first
   EXPECT_EQ(deliveries_[0][1].cycle, 17u);  // kRequest, sent second
   EXPECT_LT(deliveries_[0][0].seq, deliveries_[0][1].seq);
+}
+
+// The mesh ticks only backlogged NICs and occupied routers. These pin
+// literal delivery cycles (recorded from a mesh that ticked every NIC and
+// router on every cycle) for the cases a worklist could get wrong.
+
+/// "cycle:src.k" for every delivery at `dst`, k = the source's k-th send.
+std::string trace(const std::vector<Delivery>& ds) {
+  std::string out;
+  for (const Delivery& d : ds) {
+    if (!out.empty()) out += ' ';
+    out += std::to_string(d.cycle) + ':' + std::to_string(d.src) + '.' +
+           std::to_string(d.seq & ((std::uint64_t{1} << 40) - 1));
+  }
+  return out;
+}
+
+TEST_F(MeshFixture, NicBacklogSurvivesAFullLocalFifo) {
+  // Four more packets than the local input FIFO holds, all sent in one
+  // cycle: the NIC must stay listed until its last packet is injected.
+  const NocConfig cfg;
+  const std::uint32_t n = cfg.input_queue_depth + 4;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    mesh_.send(0, 3, MsgClass::kRequest, 8, now_);
+  }
+  run(200);
+  ASSERT_EQ(deliveries_[3].size(), n);
+  EXPECT_EQ(trace(deliveries_[3]),
+            "16:0.0 17:0.1 18:0.2 19:0.3 20:0.4 21:0.5 22:0.6 23:0.7 "
+            "24:0.8 25:0.9 26:0.10 27:0.11 28:0.12 29:0.13 30:0.14 "
+            "31:0.15 32:0.16 33:0.17 34:0.18 35:0.19");
+  EXPECT_TRUE(mesh_.idle());
+}
+
+TEST_F(MeshFixture, WestAndNorthForwardsReachLowerRoutersNextTick) {
+  // Two identical sends force the hop-by-hop path (the second conflicts
+  // with the first's express flight); everything after rides the physical
+  // fabric. 15 -> 0 runs west then north, 7 -> 4 west, 13 -> 1 north:
+  // each hop hands a packet to a lower-numbered router than the sender,
+  // one the router walk has already passed this tick.
+  mesh_.send(15, 0, MsgClass::kRequest, 8, now_);
+  mesh_.send(15, 0, MsgClass::kRequest, 8, now_);
+  mesh_.send(7, 4, MsgClass::kReply, 72, now_);
+  mesh_.send(13, 1, MsgClass::kCoherence, 8, now_);
+  run(2);
+  mesh_.send(14, 0, MsgClass::kRequest, 8, now_);
+  mesh_.send(11, 8, MsgClass::kRequest, 8, now_);
+  run(200);
+  EXPECT_EQ(trace(deliveries_[0]), "26:14.0 28:15.0 29:15.1");
+  EXPECT_EQ(trace(deliveries_[4]), "16:7.0");
+  EXPECT_EQ(trace(deliveries_[1]), "16:13.0");
+  EXPECT_EQ(trace(deliveries_[8]), "18:11.0");
+  EXPECT_EQ(mesh_.express_perf().hits, 0u);
+  EXPECT_TRUE(mesh_.idle());
+}
+
+TEST_F(MeshFixture, ExpressMaterializationLandsInIdleRouters) {
+  // 0 -> 15 flies express; ten cycles in, a conflicting pair of sends
+  // demotes it into routers that hold nothing and are on no worklist.
+  mesh_.send(0, 15, MsgClass::kReply, 72, now_);
+  run(10);
+  mesh_.send(5, 6, MsgClass::kRequest, 8, now_);
+  mesh_.send(5, 6, MsgClass::kRequest, 8, now_);
+  EXPECT_EQ(mesh_.express_perf().materialized, 2u);
+  run(200);
+  EXPECT_EQ(trace(deliveries_[15]), "28:0.0");
+  EXPECT_EQ(trace(deliveries_[6]), "18:5.0 19:5.1");
+  EXPECT_EQ(mesh_.stats().hops(MsgClass::kReply), 7u);
+  EXPECT_TRUE(mesh_.idle());
 }
 
 // Property: the express fast-forward path is an invisible optimisation.
