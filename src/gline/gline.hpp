@@ -3,8 +3,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "ckpt/archive.hpp"
 #include "common/check.hpp"
@@ -47,7 +47,7 @@ class Wire {
     // controller state machine sends at most one signal per tick, so two
     // same-cycle arrivals can only mean a protocol bug — or an injected
     // spurious pulse that would otherwise be silently masked. With a
-    // constant latency the arrival deque is non-decreasing, so a
+    // constant latency the arrival queue is non-decreasing, so a
     // same-cycle double drive is exactly a repeated back() entry.
     GLOCKS_CHECK(arrivals_.empty() || arrivals_.back() != now + latency_,
                  "G-line driven twice in cycle " << now);
@@ -58,7 +58,7 @@ class Wire {
   /// Consumes one matured pulse, if any.
   bool poll(Cycle now) {
     if (arrivals_.empty() || arrivals_.front() > now) return false;
-    arrivals_.pop_front();
+    arrivals_.erase(arrivals_.begin());
     return true;
   }
 
@@ -142,8 +142,12 @@ class Wire {
  private:
   Cycle latency_;
   bool is_local_;
-  std::deque<Cycle> arrivals_;
-  std::deque<Frame> frames_;
+  /// In-flight pulses and frames, oldest first. Vectors, not deques: a
+  /// wire holds only the few signals still within its latency, and an
+  /// empty vector allocates nothing, so the thousands of idle wires of a
+  /// 256-core machine cost no heap.
+  std::vector<Cycle> arrivals_;
+  std::vector<Frame> frames_;
   std::uint64_t pulses_sent_ = 0;
   fault::FaultInjector* injector_ = nullptr;
   std::uint32_t fault_id_ = 0;

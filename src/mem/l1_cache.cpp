@@ -15,7 +15,7 @@ L1Cache::L1Cache(CoreId core, const L1Config& cfg, const AddressMap& amap,
       transport_(transport),
       engine_(engine),
       num_sets_(cfg.num_sets()),
-      ways_(std::size_t{num_sets_} * cfg.ways) {}
+      sets_(num_sets_) {}
 
 L1Cache::Entry* L1Cache::find(Addr line) {
   for (Entry& e : set_of(line)) {
@@ -183,6 +183,8 @@ void L1Cache::complete_with_line(Entry& e, Cycle now) {
 }
 
 L1Cache::Entry& L1Cache::victimize(Addr incoming_line, Cycle now) {
+  auto& set = sets_[incoming_line % num_sets_];
+  if (set == nullptr) set = std::make_unique<Entry[]>(cfg_.ways);
   Entry* victim = nullptr;
   for (Entry& e : set_of(incoming_line)) {
     if (!e.valid) return e;
@@ -398,12 +400,18 @@ void L1Cache::tick(Cycle now) {
 
 
 void L1Cache::save(ckpt::ArchiveWriter& a) const {
-  for (const Entry& e : ways_) {
-    a.b(e.valid);
-    a.u64(e.line);
-    a.u8(static_cast<std::uint8_t>(e.state));
-    for (Word w : e.data) a.u64(w);
-    a.u64(e.lru);
+  // A set never filled saves as `ways` default (invalid, zero) entries,
+  // the bytes its eagerly-allocated ways would have held.
+  const Entry empty{};
+  for (const auto& set : sets_) {
+    for (std::uint32_t way = 0; way < cfg_.ways; ++way) {
+      const Entry& e = set == nullptr ? empty : set[way];
+      a.b(e.valid);
+      a.u64(e.line);
+      a.u8(static_cast<std::uint8_t>(e.state));
+      for (Word w : e.data) a.u64(w);
+      a.u64(e.lru);
+    }
   }
   a.b(pending_.has_value());
   if (pending_.has_value()) {

@@ -183,9 +183,10 @@ class L1Cache final : public sim::Component {
     CohMsgPtr msg;
   };
 
-  /// The ways of `line`'s set.
+  /// The ways of `line`'s set; empty while the set was never filled.
   std::span<Entry> set_of(Addr line) {
-    return {ways_.data() + (line % num_sets_) * cfg_.ways, cfg_.ways};
+    Entry* set = sets_[line % num_sets_].get();
+    return {set, set == nullptr ? 0 : cfg_.ways};
   }
   Entry* find(Addr line);
   const Entry* find(Addr line) const;
@@ -210,8 +211,10 @@ class L1Cache final : public sim::Component {
   Transport& transport_;
   const sim::Engine& engine_;
   std::uint32_t num_sets_;
-  /// Every way of every set, set-major: num_sets_ x cfg_.ways.
-  std::vector<Entry> ways_;
+  /// One way array per set, allocated by the set's first install: a run
+  /// touches few sets, and a null set is simply one whose ways are all
+  /// invalid.
+  std::vector<std::unique_ptr<Entry[]>> sets_;
   std::optional<Pending> pending_;
   std::deque<WbEntry> wb_buffer_;
   std::deque<Inbox> inbox_;

@@ -3,6 +3,9 @@
 // atomics, and eviction corner cases.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
+#include "ckpt/archive.hpp"
 #include "mem_test_util.hpp"
 
 namespace glocks {
@@ -115,6 +118,61 @@ TEST(MemProtocol, EvictionWritesBackAndRefetchesCorrectly) {
   }
   m.drain();
   EXPECT_EQ(m.hier().total_dir_stats().stale_putm, 0u);
+}
+
+TEST(MemProtocol, L1SetsFillOnFirstUseAndSaveUntouchedWaysAsZeros) {
+  // L1: 128 sets * 4 ways; lines 128 apart share set 0. An L1 allocates a
+  // set's ways on the first install into it, and saves a set never
+  // filled as `ways` default entries: valid, line, state, 8 data words,
+  // lru = 1 + 8 + 1 + 64 + 8 = 82 bytes each, all zero.
+  MemHarness m;
+  ASSERT_EQ(m.config().l1.num_sets(), 128u);
+  ASSERT_EQ(m.config().l1.ways, 4u);
+  const Addr stride = Addr{128} * kLineBytes;
+  const std::size_t l1_bytes = std::size_t{128} * 4 * 82;
+  const auto save_l1 = [&](CoreId c) {
+    ckpt::ArchiveWriter a;
+    a.begin_section(1);
+    m.hier().l1(c).save(a);
+    a.end_section();
+    return a.buffer();
+  };
+  ckpt::ArchiveWriter empty;
+  empty.begin_section(1);
+  empty.end_section();
+  // Everything before the trailing CRC of an empty section is framing.
+  const std::size_t payload_at = empty.buffer().size() - 4;
+
+  const auto fresh = save_l1(0);
+  ASSERT_GT(fresh.size(), payload_at + l1_bytes);
+  std::size_t nonzero = 0;
+  for (std::size_t i = payload_at; i < payload_at + l1_bytes; ++i) {
+    nonzero += fresh[i] != 0;
+  }
+  EXPECT_EQ(nonzero, 0u);
+  EXPECT_EQ(m.hier().l1(0).probe_state(line_of(kA)), 'I');
+
+  // Five lines into set 0: the fifth evicts the LRU (first) line, and the
+  // other sets stay empty.
+  for (Word i = 0; i < 5; ++i) m.store(0, kA + i * stride, 10 + i);
+  m.drain();
+  EXPECT_EQ(m.hier().l1(0).probe_state(line_of(kA)), 'I');
+  for (Word i = 1; i < 5; ++i) {
+    EXPECT_EQ(m.hier().l1(0).probe_state(line_of(kA + i * stride)), 'M')
+        << i;
+  }
+  EXPECT_EQ(m.hier().l1(0).probe_state(line_of(kA) + 1), 'I');
+  EXPECT_EQ(m.hier().l1(0).stats().writebacks, 1u);
+  // Set 0 now saves its four ways; the archive keeps its length, and
+  // every set after it still saves as zeros.
+  const auto used = save_l1(0);
+  EXPECT_EQ(used.size(), fresh.size());
+  nonzero = 0;
+  for (std::size_t i = payload_at + 4 * 82; i < payload_at + l1_bytes; ++i) {
+    nonzero += used[i] != 0;
+  }
+  EXPECT_EQ(nonzero, 0u);
+  EXPECT_EQ(m.load(1, kA), 10u);  // the written-back value survives
 }
 
 TEST(MemProtocol, ForwardRacingEvictionServedFromWritebackBuffer) {
